@@ -3,14 +3,23 @@
 //   * BM_BackpropFull vs BM_BackpropTruncated across T — the truncated
 //     backward pass is O(Nx^2) regardless of T while full BPTT is O(T Nx^2),
 //     i.e. the ~1/T compute reduction the paper states;
-//   * forward / DPRR / mask / ridge kernels for profiling context.
+//   * forward / DPRR / mask / ridge kernels for profiling context;
+//   * the single-series SIMD serving path stage by stage (mask, preadd +
+//     nonlinearity, B-chain, DPRR accumulate, readout) and whole, on every
+//     backend this host runs (chosen with simd::force_backend), at
+//     Nx in {7, 30, 31, 50}. Backend ids in the case names follow
+//     simd::Backend (0 scalar, 1 avx2, 2 neon, 3 avx512) and the label
+//     names the backend. Run e.g. `bench_micro --benchmark_filter=BM_Simd`.
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
 
 #include "data/synth.hpp"
 #include "dfr/backprop.hpp"
 #include "dfr/output.hpp"
 #include "dfr/ridge.hpp"
 #include "linalg/cholesky.hpp"
+#include "serve/engine.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -163,6 +172,196 @@ void BM_CholeskyFactor(benchmark::State& state) {
 BENCHMARK(BM_CholeskyFactor)->Arg(64)->Arg(256)->Arg(931)
     ->Unit(benchmark::kMillisecond);
 
+// ---- single-series SIMD serving path, stage by stage -----------------------
+//
+// Shapes follow the serving workload: V = 2 input channels, rows padded to
+// simd::padded_nodes(Nx) exactly as BasicEngine keeps them. Each stage case
+// times one time step's call; BM_SimdInfer times a whole T = 151 series.
+
+constexpr std::size_t kStageChannels = 2;
+
+/// One backend's single-series datapath over a random model of `nx` nodes,
+/// plus padded scratch rows holding random states.
+struct StageFixture {
+  std::size_t nx;
+  std::size_t stride;
+  ModelArtifactPtr model;
+  SimdFloatDatapath datapath;
+  Vector u, features, logits;
+  simd::AlignedVector j, x_prev, x_cur, acc;  // padded rows, as in the engine
+
+  StageFixture(std::size_t nodes, simd::Backend backend)
+      : nx(nodes),
+        stride(simd::padded_nodes(nodes)),
+        model(make_model(nodes)),
+        datapath(model, backend),
+        u(kStageChannels),
+        features(dprr_dim(nodes), 0.0),
+        logits(3, 0.0),
+        j(stride, 0.0),
+        x_prev(stride, 0.0),
+        x_cur(stride, 0.0),
+        acc(simd::padded_dprr_size(nodes), 0.0) {
+    Rng rng(17);
+    for (double& v : u) v = rng.normal();
+    for (std::size_t n = 0; n < nx; ++n) {
+      j[n] = 0.1 * rng.normal();
+      x_prev[n] = 0.1 * rng.normal();
+      x_cur[n] = 0.1 * rng.normal();
+    }
+    for (double& f : features) f = 0.01 * rng.normal();
+  }
+
+  static ModelArtifactPtr make_model(std::size_t nodes) {
+    Rng rng(23);
+    ModelArtifact artifact;
+    artifact.params = DfrParams{0.2, 0.3};
+    artifact.mask = Mask(nodes, kStageChannels, MaskKind::kBinary, rng);
+    Matrix w(3, dprr_dim(nodes));
+    for (std::size_t c = 0; c < w.rows(); ++c) {
+      for (std::size_t f = 0; f < w.cols(); ++f) w(c, f) = 0.01 * rng.normal();
+    }
+    artifact.readout = OutputLayer(std::move(w), Vector(3, 0.0));
+    return std::make_shared<const ModelArtifact>(std::move(artifact));
+  }
+};
+
+/// Forces the case's backend (range(0)); registration only lists backends
+/// this host and build can run.
+void select_backend(benchmark::State& state) {
+  const auto backend = static_cast<simd::Backend>(state.range(0));
+  simd::force_backend(backend);
+  state.SetLabel(simd::backend_name(backend));
+}
+
+void BM_SimdMask(benchmark::State& state) {
+  select_backend(state);
+  StageFixture fx(static_cast<std::size_t>(state.range(1)),
+                  simd::active_backend());
+  for (auto _ : state) {
+    fx.datapath.mask_into(fx.u, fx.j);
+    benchmark::DoNotOptimize(fx.j.data());
+    benchmark::ClobberMemory();
+  }
+}
+
+void BM_SimdPreaddNonlin(benchmark::State& state) {
+  select_backend(state);
+  StageFixture fx(static_cast<std::size_t>(state.range(1)),
+                  simd::active_backend());
+  const simd::Kernels& kernels = simd::active_kernels();
+  for (auto _ : state) {
+    kernels.preadd_nonlin(fx.model->nonlinearity, fx.model->params.a,
+                          fx.j.data(), fx.x_prev.data(), fx.x_cur.data(),
+                          fx.nx);
+    benchmark::DoNotOptimize(fx.x_cur.data());
+    benchmark::ClobberMemory();
+  }
+}
+
+void BM_SimdBChain(benchmark::State& state) {
+  select_backend(state);
+  StageFixture fx(static_cast<std::size_t>(state.range(1)),
+                  simd::active_backend());
+  // The chain runs in place, so each iteration restarts from the same
+  // preadd output (a one-row copy, small next to the serial chain).
+  const simd::AlignedVector v = fx.x_cur;
+  for (auto _ : state) {
+    std::copy(v.begin(), v.end(), fx.x_cur.begin());
+    fx.datapath.bchain(fx.x_prev[fx.nx - 1], fx.x_cur);
+    benchmark::DoNotOptimize(fx.x_cur.data());
+    benchmark::ClobberMemory();
+  }
+}
+
+void BM_SimdDprrAdd(benchmark::State& state) {
+  select_backend(state);
+  StageFixture fx(static_cast<std::size_t>(state.range(1)),
+                  simd::active_backend());
+  const simd::Kernels& kernels = simd::active_kernels();
+  for (auto _ : state) {
+    kernels.dprr_add(fx.acc.data(), fx.x_cur.data(), fx.x_prev.data(), fx.nx,
+                     fx.stride);
+    benchmark::DoNotOptimize(fx.acc.data());
+    benchmark::ClobberMemory();
+  }
+}
+
+void BM_SimdDprrAddExact(benchmark::State& state) {
+  select_backend(state);
+  StageFixture fx(static_cast<std::size_t>(state.range(1)),
+                  simd::active_backend());
+  const simd::Kernels& kernels = simd::active_kernels();
+  for (auto _ : state) {
+    kernels.dprr_add_exact(fx.acc.data(), fx.x_cur.data(), fx.x_prev.data(),
+                           fx.nx, fx.stride);
+    benchmark::DoNotOptimize(fx.acc.data());
+    benchmark::ClobberMemory();
+  }
+}
+
+// The readout (W r + b over Nx*(Nx+1) features) is scalar code on every
+// backend; it is timed per backend only to keep the stage table uniform.
+void BM_SimdReadout(benchmark::State& state) {
+  select_backend(state);
+  StageFixture fx(static_cast<std::size_t>(state.range(1)),
+                  simd::active_backend());
+  const OutputLayer& readout = *fx.datapath.readout();
+  for (auto _ : state) {
+    readout.logits_into(fx.features, fx.logits);
+    benchmark::DoNotOptimize(fx.logits.data());
+    benchmark::ClobberMemory();
+  }
+}
+
+// The whole single-series engine on one T = 151 series (the serving
+// workload's shape): 151 masks, steps and DPRR accumulates, the feature
+// gather and finalization, and the readout.
+void BM_SimdInfer(benchmark::State& state) {
+  select_backend(state);
+  const auto nx = static_cast<std::size_t>(state.range(1));
+  SimdInferenceEngine engine =
+      make_simd_engine(StageFixture::make_model(nx), simd::active_backend());
+  const Matrix series = random_series(151, kStageChannels, 29);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(engine.infer(series).data());
+  }
+}
+
+/// Registers every stage case for each backend this host runs, at
+/// Nx in {7, 30, 31, 50}.
+void register_stage_benchmarks() {
+  const std::pair<const char*, void (*)(benchmark::State&)> stages[] = {
+      {"BM_SimdMask", BM_SimdMask},
+      {"BM_SimdPreaddNonlin", BM_SimdPreaddNonlin},
+      {"BM_SimdBChain", BM_SimdBChain},
+      {"BM_SimdDprrAdd", BM_SimdDprrAdd},
+      {"BM_SimdDprrAddExact", BM_SimdDprrAddExact},
+      {"BM_SimdReadout", BM_SimdReadout},
+      {"BM_SimdInfer", BM_SimdInfer},
+  };
+  for (const auto& [name, fn] : stages) {
+    benchmark::internal::Benchmark* bench =
+        benchmark::RegisterBenchmark(name, fn);
+    if (fn == BM_SimdInfer) bench->Unit(benchmark::kMicrosecond);
+    for (simd::Backend backend :
+         {simd::Backend::kScalar, simd::Backend::kAvx2, simd::Backend::kNeon,
+          simd::Backend::kAvx512}) {
+      if (!simd::backend_available(backend)) continue;
+      for (std::int64_t nx : {7, 30, 31, 50}) {
+        bench->Args({static_cast<std::int64_t>(backend), nx});
+      }
+    }
+  }
+}
+
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  register_stage_benchmarks();
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -48,13 +48,6 @@ class DprrAccumulator {
   [[nodiscard]] std::size_t nx() const noexcept { return nx_; }
   [[nodiscard]] std::size_t steps() const noexcept { return steps_; }
 
-  /// Mutable storage for external accumulation kernels (the SIMD datapath's
-  /// vectorized row update writes r directly). A caller that accumulates one
-  /// step's contribution this way must pair it with count_step() so steps()
-  /// stays truthful.
-  [[nodiscard]] std::span<double> raw() noexcept { return r_; }
-  void count_step() noexcept { ++steps_; }
-
   void reset() noexcept;
 
  private:

@@ -23,6 +23,32 @@ const QuantizedDfr& checked_deref(
   return *model;
 }
 
+/// The single-series SIMD mask operand: M transposed to channels x
+/// padded_nodes(Nx), zero in the pad columns, so one row of it spans every
+/// node of one input channel.
+simd::AlignedVector transposed_padded_mask(const Mask& mask) {
+  const std::size_t stride = simd::padded_nodes(mask.nodes());
+  simd::AlignedVector t(mask.channels() * stride, 0.0);
+  for (std::size_t n = 0; n < mask.nodes(); ++n) {
+    for (std::size_t v = 0; v < mask.channels(); ++v) {
+      t[v * stride + n] = mask.weights()(n, v);
+    }
+  }
+  return t;
+}
+
+/// j = M u over the padded layout: the 1-row product u^T M^T through the
+/// batched mask kernel, nodes across the vector lanes. Per node it starts at
+/// 0.0 and adds u_v * M(n, v) in ascending v without FMA — dot()'s order,
+/// so the stage is bit-identical to Mask::apply_into.
+void padded_mask_into(const simd::Kernels& kernels,
+                      const simd::AlignedVector& mask_t,
+                      std::span<const double> input, std::span<double> j) {
+  DFR_DCHECK(mask_t.size() == input.size() * j.size());
+  kernels.batched_mask(input.data(), 1, input.size(), mask_t.data(), j.data(),
+                       j.size());
+}
+
 }  // namespace
 
 // ---- FloatDatapath ---------------------------------------------------------
@@ -103,8 +129,8 @@ void QuantizedDatapath::finalize(Vector& r, std::size_t t_len) const {
 
 SimdFloatDatapath::SimdFloatDatapath(const Mask& mask, const DfrParams& params,
                                      Nonlinearity f, simd::Backend backend)
-    : mask_(&mask), params_(params), f_(f),
-      kernels_(&simd::kernels_for(backend)) {
+    : mask_(&mask), mask_t_(transposed_padded_mask(mask)), params_(params),
+      f_(f), kernels_(&simd::kernels_for(backend)) {
   DFR_CHECK_MSG(mask.nodes() > 0, "reservoir needs at least one virtual node");
 }
 
@@ -115,6 +141,7 @@ SimdFloatDatapath::SimdFloatDatapath(ModelArtifactPtr model,
                                      simd::Backend backend)
     : artifact_(checked_artifact(std::move(model))),
       mask_(&artifact_->mask),
+      mask_t_(transposed_padded_mask(artifact_->mask)),
       params_(artifact_->params),
       f_(artifact_->nonlinearity),
       kernels_(&simd::kernels_for(backend)),
@@ -132,34 +159,35 @@ SimdFloatDatapath::SimdFloatDatapath(const LoadedModel& model,
 
 void SimdFloatDatapath::mask_into(std::span<const double> input,
                                   std::span<double> j) const {
-  mask_->apply_into(input, j);
+  padded_mask_into(*kernels_, mask_t_, input, j);
 }
 
 void SimdFloatDatapath::step(std::span<const double> j,
                              std::span<const double> x_prev,
                              std::span<double> x_out) const {
-  const std::size_t nx = x_prev.size();
-  DFR_DCHECK(j.size() == nx && x_out.size() == nx);
+  const std::size_t nx = nodes();
+  DFR_DCHECK(j.size() >= nx && x_prev.size() >= nx && x_out.size() >= nx);
   DFR_DCHECK(x_out.data() != x_prev.data() && x_out.data() != j.data());
   // Vectorized stage: x_out[n] = A * f~(j[n] + x_prev[n]).
   kernels_->preadd_nonlin(f_, params_.a, j.data(), x_prev.data(), x_out.data(),
                           nx);
-  // Serialized B-chain, head continued from x(k-1)_{Nx}. Same operation
-  // order as ModularReservoir::step (one multiply, one add per node), so the
-  // step stage rounds identically to the scalar pipeline.
-  double prev_node = x_prev[nx - 1];
-  for (std::size_t n = 0; n < nx; ++n) {
-    prev_node = x_out[n] + params_.b * prev_node;
-    x_out[n] = prev_node;
+  // Serialized B-chain, head continued from x(k-1)_{Nx}.
+  bchain(x_prev[nx - 1], x_out);
+}
+
+void SimdFloatDatapath::bchain(double head, std::span<double> x) const {
+  // Same operation order as ModularReservoir::step (one multiply, one add
+  // per node), so the step stage rounds identically to the scalar pipeline.
+  double prev_node = head;
+  for (std::size_t n = 0; n < nodes(); ++n) {
+    prev_node = x[n] + params_.b * prev_node;
+    x[n] = prev_node;
   }
 }
 
-void SimdFloatDatapath::dprr_add(DprrAccumulator& acc,
-                                 std::span<const double> x_k,
-                                 std::span<const double> x_km1) const {
-  DFR_DCHECK(x_k.size() == acc.nx() && x_km1.size() == acc.nx());
-  kernels_->dprr_add(acc.raw().data(), x_k.data(), x_km1.data(), acc.nx());
-  acc.count_step();
+void SimdFloatDatapath::dprr_add(double* r, const double* x_k,
+                                 const double* x_km1) const {
+  kernels_->dprr_add(r, x_k, x_km1, nodes(), simd::padded_nodes(nodes()));
 }
 
 void SimdFloatDatapath::finalize(Vector& r, std::size_t t_len) const {
@@ -174,6 +202,7 @@ SimdQuantizedDatapath::SimdQuantizedDatapath(const QuantizedDfr& model)
 SimdQuantizedDatapath::SimdQuantizedDatapath(const QuantizedDfr& model,
                                              simd::Backend backend)
     : mask_(&model.model().mask),
+      mask_t_(transposed_padded_mask(model.model().mask)),
       params_(model.model().params),
       f_(model.model().nonlinearity),
       state_format_(model.config().state_format),
@@ -197,10 +226,10 @@ SimdQuantizedDatapath::SimdQuantizedDatapath(
 
 void SimdQuantizedDatapath::mask_into(std::span<const double> input,
                                       std::span<double> j) const {
-  mask_->apply_into(input, j);
+  padded_mask_into(*kernels_, mask_t_, input, j);
   // Same ops as the scalar path: v = Q_state(v * (1/state_scale)), fused
-  // into one vectorized pass (scale_quantize is elementwise, so the pass
-  // fusion cannot change per-element rounding).
+  // into one vectorized pass over the whole padded row (scale_quantize is
+  // elementwise, so the pass fusion cannot change per-element rounding).
   kernels_->scale_quantize(state_format_, 1.0 / state_scale_, j.data(),
                            j.size());
 }
@@ -208,8 +237,8 @@ void SimdQuantizedDatapath::mask_into(std::span<const double> input,
 void SimdQuantizedDatapath::step(std::span<const double> j,
                                  std::span<const double> x_prev,
                                  std::span<double> x_out) const {
-  const std::size_t nx = x_prev.size();
-  DFR_DCHECK(j.size() == nx && x_out.size() == nx);
+  const std::size_t nx = nodes();
+  DFR_DCHECK(j.size() >= nx && x_prev.size() >= nx && x_out.size() >= nx);
   DFR_DCHECK(x_out.data() != x_prev.data() && x_out.data() != j.data());
   // Vectorized stage: x_out[n] = A * f~( Q_state(j[n] + x_prev[n]) ).
   kernels_->quant_preadd_nonlin(f_, params_.a, state_format_, j.data(),
@@ -226,15 +255,12 @@ void SimdQuantizedDatapath::step(std::span<const double> j,
   }
 }
 
-void SimdQuantizedDatapath::dprr_add(DprrAccumulator& acc,
-                                     std::span<const double> x_k,
-                                     std::span<const double> x_km1) const {
-  DFR_DCHECK(x_k.size() == acc.nx() && x_km1.size() == acc.nx());
+void SimdQuantizedDatapath::dprr_add(double* r, const double* x_k,
+                                     const double* x_km1) const {
   // The exact kernel: two roundings per accumulate like DprrAccumulator::add
   // (never FMA), so quantized features carry no ULP drift to bound.
-  kernels_->dprr_add_exact(acc.raw().data(), x_k.data(), x_km1.data(),
-                           acc.nx());
-  acc.count_step();
+  kernels_->dprr_add_exact(r, x_k, x_km1, nodes(),
+                           simd::padded_nodes(nodes()));
 }
 
 void SimdQuantizedDatapath::finalize(Vector& r, std::size_t t_len) const {
@@ -482,36 +508,62 @@ BatchedQuantizedInferenceEngine make_batched_engine(
 // ---- BasicEngine -----------------------------------------------------------
 
 template <InferenceDatapath P>
+auto BasicEngine<P>::make_accumulator(std::size_t nx) -> Accumulator {
+  if constexpr (kPadded) {
+    return simd::AlignedVector(simd::padded_dprr_size(nx), 0.0);
+  } else {
+    return DprrAccumulator(nx);
+  }
+}
+
+template <InferenceDatapath P>
 BasicEngine<P>::BasicEngine(P datapath)
     : datapath_(std::move(datapath)),
-      j_(datapath_.nodes(), 0.0),
-      x_prev_(datapath_.nodes(), 0.0),
-      x_cur_(datapath_.nodes(), 0.0),
+      row_(kPadded ? simd::padded_nodes(datapath_.nodes()) : datapath_.nodes()),
+      j_(row_, 0.0),
+      x_prev_(row_, 0.0),
+      x_cur_(row_, 0.0),
       r_(dprr_dim(datapath_.nodes()), 0.0),
       logits_(datapath_.readout()
                   ? static_cast<std::size_t>(datapath_.readout()->num_classes())
                   : 0,
               0.0),
-      dprr_(datapath_.nodes()) {}
+      dprr_(make_accumulator(datapath_.nodes())) {}
 
 template <InferenceDatapath P>
 std::span<const double> BasicEngine<P>::features(const Matrix& series) {
   DFR_CHECK_MSG(series.cols() == datapath_.channels(),
                 "series channel count != mask width");
   DFR_CHECK_MSG(series.rows() >= 1, "series needs at least one time step");
-  std::fill(x_prev_.begin(), x_prev_.end(), 0.0);  // x(0) = 0
-  dprr_.reset();
+  // x(0) = 0. Pad lanes are zero from construction on: the step stage never
+  // writes them.
+  std::fill(x_prev_.begin(), x_prev_.end(), 0.0);
+  if constexpr (kPadded) {
+    std::fill(dprr_.begin(), dprr_.end(), 0.0);
+  } else {
+    dprr_.reset();
+  }
   for (std::size_t k = 0; k < series.rows(); ++k) {
     datapath_.mask_into(series.row(k), j_);
     datapath_.step(j_, x_prev_, x_cur_);
-    if constexpr (requires { datapath_.dprr_add(dprr_, x_cur_, x_prev_); }) {
-      datapath_.dprr_add(dprr_, x_cur_, x_prev_);  // policy-owned (SIMD) path
+    if constexpr (kPadded) {
+      datapath_.dprr_add(dprr_.data(), x_cur_.data(), x_prev_.data());
     } else {
       dprr_.add(x_cur_, x_prev_);
     }
     std::swap(x_prev_, x_cur_);  // pointer swap: no allocation
   }
-  std::copy(dprr_.features().begin(), dprr_.features().end(), r_.begin());
+  if constexpr (kPadded) {
+    // Rows 0..Nx-1 of the padded accumulator hold the Nx x Nx block, row Nx
+    // the node sums; drop each row's pad columns.
+    const std::size_t nx = datapath_.nodes();
+    for (std::size_t i = 0; i <= nx; ++i) {
+      std::copy_n(dprr_.begin() + static_cast<std::ptrdiff_t>(i * row_), nx,
+                  r_.begin() + static_cast<std::ptrdiff_t>(i * nx));
+    }
+  } else {
+    std::copy(dprr_.features().begin(), dprr_.features().end(), r_.begin());
+  }
   datapath_.finalize(r_, series.rows());
   return r_;
 }

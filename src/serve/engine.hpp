@@ -10,8 +10,8 @@
 //     j(k) = M u(k)  ->  x(k) = step(j(k), x(k-1))  ->  dprr += x(k) x(k-1)^T
 //     ->  r = finalize(dprr)  ->  logits = W r + b  ->  argmax
 //
-// — over per-engine scratch buffers (two Nx state rows ping-ponged through
-// the reservoir step, a reused DprrAccumulator, a logits buffer), so classify
+// — over per-engine scratch buffers (two state rows ping-ponged through the
+// reservoir step, a reused DPRR accumulator, a logits buffer), so classify
 // performs ZERO heap allocations in steady state (test_serve.cpp instruments
 // operator new to enforce this).
 //
@@ -21,16 +21,22 @@
 // arithmetic of quantized_dfr.hpp — both bit-identical to the per-series
 // paths they replaced. SimdFloatDatapath runs the same float pipeline
 // through runtime-dispatched vector kernels (serve/simd_kernels.hpp): the
-// preadd/nonlinearity and the Nx²-per-step DPRR row updates vectorize, the
-// serialized B-chain stays a scalar pass, and results match FloatDatapath
-// within the documented ULP contract. SimdQuantizedDatapath does the same
-// for the fixed-point pipeline — vectorized round-to-format on the masked
-// input, quantized preadd + nonlinearity, exact (no-FMA) DPRR row updates,
-// and fused scale+quantize feature finalization — with a STRICTER contract:
-// bit-identical to QuantizedDatapath on every backend (fixed-point rounding
-// is exact; see the quantized contract in simd_kernels.hpp). A policy may
-// optionally provide dprr_add(acc, x_k, x_km1) to own the accumulation
-// step; the engine falls back to DprrAccumulator::add otherwise.
+// mask, the preadd/nonlinearity and the Nx²-per-step DPRR row updates
+// vectorize, the serialized B-chain stays a scalar pass, and results match
+// FloatDatapath within the documented ULP contract. SimdQuantizedDatapath
+// does the same for the fixed-point pipeline — vectorized round-to-format on
+// the masked input, quantized preadd + nonlinearity, exact (no-FMA) DPRR row
+// updates, and fused scale+quantize feature finalization — with a STRICTER
+// contract: bit-identical to QuantizedDatapath on every backend (fixed-point
+// rounding is exact; see the quantized contract in simd_kernels.hpp).
+//
+// Row layout: a policy that provides dprr_add(r, x_k, x_km1) — the two SIMD
+// datapaths — owns the accumulation step over the padded single-series
+// layout of simd_kernels.hpp: the engine then keeps the masked input, both
+// state rows and every accumulator row at a stride of
+// simd::padded_nodes(Nx), and gathers the Nx x Nx block and the node sums
+// out of the padded accumulator into the feature vector. The scalar
+// datapaths keep Nx-wide rows and accumulate through DprrAccumulator::add.
 //
 // Ownership: the full-inference datapaths hold a reference-counted
 // ModelArtifactPtr (see model_io.hpp), so an engine keeps its model alive
@@ -48,6 +54,7 @@
 #include <concepts>
 #include <memory>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "dfr/dprr.hpp"
@@ -144,9 +151,12 @@ class QuantizedDatapath {
 };
 
 /// Float datapath over runtime-dispatched SIMD kernels. Executes the same
-/// pipeline as FloatDatapath with the vectorizable stages (masked-input
-/// preadd, nonlinearity, DPRR row updates) routed through
-/// serve/simd_kernels.hpp and the serialized B-chain as a scalar pass.
+/// pipeline as FloatDatapath with the vectorizable stages (input mask,
+/// masked-input preadd, nonlinearity, DPRR row updates) routed through
+/// serve/simd_kernels.hpp and the serialized B-chain as a scalar pass. Rows
+/// use the padded layout (see the engine header comment): mask_into writes
+/// simd::padded_nodes(nodes()) entries, step reads and writes only the
+/// first nodes() entries of its rows and leaves the pad lanes alone.
 /// Equivalence to FloatDatapath is governed by the ULP contract documented
 /// in simd_kernels.hpp (bit-exact mask/preadd stages, simd_feature_ulp_bound
 /// on finalized features). The artifact constructors share ownership of the
@@ -180,9 +190,15 @@ class SimdFloatDatapath {
   void mask_into(std::span<const double> input, std::span<double> j) const;
   void step(std::span<const double> j, std::span<const double> x_prev,
             std::span<double> x_out) const;
-  /// Vectorized DPRR accumulation hook picked up by BasicEngine::features.
-  void dprr_add(DprrAccumulator& acc, std::span<const double> x_k,
-                std::span<const double> x_km1) const;
+  /// The serialized B-chain, step()'s last stage: on entry x[n] holds the
+  /// preadd/nonlinearity output v_n, on exit x[n] = v_n + B * x[n-1] for
+  /// n < nodes(), with x[-1] = `head` (one multiply, one add per node, in
+  /// node order). Public so the stage can be timed on its own.
+  void bchain(double head, std::span<double> x) const;
+  /// Vectorized DPRR accumulation over the padded layout
+  /// (simd::padded_dprr_size(nodes()) entries at `r`), picked up by
+  /// BasicEngine::features.
+  void dprr_add(double* r, const double* x_k, const double* x_km1) const;
   void finalize(Vector& r, std::size_t t_len) const;
   [[nodiscard]] const OutputLayer* readout() const noexcept { return readout_; }
   /// The owned artifact (null for the borrowing features-only pipeline).
@@ -193,6 +209,7 @@ class SimdFloatDatapath {
  private:
   ModelArtifactPtr artifact_;  // keepalive; null when borrowing
   const Mask* mask_;
+  simd::AlignedVector mask_t_;  // transposed mask: channels x padded_nodes
   DfrParams params_;
   Nonlinearity f_;
   const simd::Kernels* kernels_;
@@ -204,7 +221,8 @@ class SimdFloatDatapath {
 /// stages (masked-input round-to-format, quantized preadd + nonlinearity,
 /// DPRR row updates, feature scale+quantize) routed through
 /// serve/simd_kernels.hpp; the quantized B-chain (which serializes through
-/// the per-node round-to-format) stays a scalar pass. Unlike the float ULP
+/// the per-node round-to-format) stays a scalar pass. Rows use the same
+/// padded layout as SimdFloatDatapath. Unlike the float ULP
 /// contract, every stage is BIT-IDENTICAL to the scalar QuantizedDatapath
 /// on every backend (see the quantized contract in simd_kernels.hpp;
 /// asserted EXPECT_EQ-strict by test_simd_quant.cpp). The shared_ptr
@@ -232,16 +250,16 @@ class SimdQuantizedDatapath {
   void mask_into(std::span<const double> input, std::span<double> j) const;
   void step(std::span<const double> j, std::span<const double> x_prev,
             std::span<double> x_out) const;
-  /// Exact (no-FMA) vectorized DPRR accumulation hook picked up by
-  /// BasicEngine::features.
-  void dprr_add(DprrAccumulator& acc, std::span<const double> x_k,
-                std::span<const double> x_km1) const;
+  /// Exact (no-FMA) vectorized DPRR accumulation over the padded layout,
+  /// picked up by BasicEngine::features.
+  void dprr_add(double* r, const double* x_k, const double* x_km1) const;
   void finalize(Vector& r, std::size_t t_len) const;
   [[nodiscard]] const OutputLayer* readout() const noexcept { return readout_; }
 
  private:
   std::shared_ptr<const QuantizedDfr> owner_;  // keepalive; null when borrowing
   const Mask* mask_;
+  simd::AlignedVector mask_t_;  // transposed mask: channels x padded_nodes
   DfrParams params_;
   Nonlinearity f_;
   FixedPointFormat state_format_;
@@ -446,13 +464,22 @@ class BasicEngine {
   [[nodiscard]] const P& datapath() const noexcept { return datapath_; }
 
  private:
+  /// Datapaths that own the accumulation step run the padded layout.
+  static constexpr bool kPadded =
+      requires(const P& p, double* r, const double* x) { p.dprr_add(r, x, x); };
+  using Accumulator =
+      std::conditional_t<kPadded, simd::AlignedVector, DprrAccumulator>;
+
+  static Accumulator make_accumulator(std::size_t nx);
+
   P datapath_;
-  Vector j_;       // masked input row, size Nx
-  Vector x_prev_;  // x(k-1), ping-ponged with x_cur_
-  Vector x_cur_;   // x(k)
-  Vector r_;       // finalized features, size Nx*(Nx+1)
+  std::size_t row_;              // padded_nodes(Nx) when kPadded, else Nx
+  simd::AlignedVector j_;       // masked input row, size row_
+  simd::AlignedVector x_prev_;  // x(k-1), ping-ponged with x_cur_
+  simd::AlignedVector x_cur_;   // x(k)
+  Vector r_;                    // finalized features, size Nx*(Nx+1)
   Vector logits_;  // size Ny (empty for features-only datapaths)
-  DprrAccumulator dprr_;
+  Accumulator dprr_;  // padded_dprr_size(Nx) doubles when kPadded
 };
 
 using InferenceEngine = BasicEngine<FloatDatapath>;

@@ -22,13 +22,16 @@ void preadd_nonlin_scalar(const Nonlinearity& f, double a, const double* j,
   }
 }
 
+// A double is a whole vector here, so the loops stop at nx and leave the
+// pad columns of the padded layout untouched.
 void dprr_add_scalar(double* r, const double* x_k, const double* x_km1,
-                     std::size_t nx) {
+                     std::size_t nx, std::size_t stride) {
+  double* sums = r + nx * stride;
   for (std::size_t i = 0; i < nx; ++i) {
     const double xi = x_k[i];
-    double* row = r + i * nx;
+    double* row = r + i * stride;
     for (std::size_t j = 0; j < nx; ++j) row[j] += xi * x_km1[j];
-    r[nx * nx + i] += xi;
+    sums[i] += xi;
   }
 }
 

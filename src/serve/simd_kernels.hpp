@@ -1,16 +1,33 @@
 #pragma once
 // SIMD kernels for the reservoir-step datapath, with runtime CPU dispatch.
 //
-// The per-step serving cost splits into three stages. Two of them are
-// data-parallel across the Nx virtual nodes and vectorize:
+// The per-step serving cost splits into four stages:
 //
+//   * the input mask                            j(k) = M u(k)
 //   * the masked-input preadd and nonlinearity  v_n = A * f~( j(k)_n + x(k-1)_n )
-//   * the DPRR accumulator row updates          r[i*Nx+j] += x(k)_i * x(k-1)_j
+//   * the B-chain                               x(k)_n = v_n + B * x(k)_{n-1}
+//   * the DPRR accumulator row updates          r[i][j] += x(k)_i * x(k-1)_j
 //     (Nx^2 multiply-adds per time step — the dominant serving cost)
 //
-// The third stage, the B-chain x(k)_n = v_n + B * x(k)_{n-1}, serializes on
-// its own output and stays a scalar pass (SimdFloatDatapath::step runs it
-// after the vectorized preadd/nonlinearity).
+// The mask, the preadd/nonlinearity and the DPRR update are data-parallel
+// across the Nx virtual nodes and vectorize. The B-chain serializes on its
+// own output and stays a scalar pass (SimdFloatDatapath::bchain).
+//
+// Padded single-series layout. The single-series SIMD datapaths keep every
+// per-node row — the masked input j, the states x(k) and x(k-1), and each
+// row of the DPRR accumulator — at a row stride of padded_nodes(Nx): Nx
+// rounded up to kRowAlign = 8 doubles, a multiple of every backend's vector
+// width (AVX-512 8, AVX2 4, NEON 2), in 64-byte aligned buffers. The
+// single-series mask and DPRR kernels therefore run whole, aligned vectors
+// only. That is what makes the vector width pay off at serving sizes: with
+// Nx = 30, a row that ends in a masked (AVX-512) or scalar (AVX2) remainder
+// runs the DPRR update no faster than scalar code, and a mask evaluated as
+// one dot() of length V per node never fills a vector at all. Pad lanes
+// start at zero (the pad columns of the transposed mask are zero, and the
+// B-chain never writes past Nx) and never reach features or logits: the
+// engine gathers only the Nx x Nx block and the Nx node sums out of the
+// padded accumulator. Each lane computes independently of every other, so
+// even NaN in a pad lane cannot leak into a real one.
 //
 // Backends are selected at RUNTIME, not by compile flags: the ISA-specific
 // translation units (simd_kernels_avx2.cpp, simd_kernels_avx512.cpp,
@@ -20,8 +37,12 @@
 // `neon`, read once at first use) or force_backend() (tests) override the
 // choice; forcing an unavailable backend throws CheckError.
 //
-// Equivalence contract vs the scalar FloatDatapath pipeline:
-//   * The mask stage is shared code and the preadd stage performs the same
+// Equivalence contract vs the scalar FloatDatapath pipeline. Padding
+// changes where values live, never which operations an element sees or in
+// what order, so the contract is the same as for an unpadded layout:
+//   * The mask stage keeps dot()'s evaluation order per node — start at
+//     0.0, add w*u one channel at a time in ascending order, separate
+//     multiply and add (never FMA) — and the preadd stage performs the same
 //     IEEE-754 additions lane-wise: both are bit-exact on every backend
 //     (test_simd.cpp checks the preadd/nonlinearity stage with an
 //     exact-match assertion).
@@ -58,7 +79,9 @@
 //   x86-64 baseline code cannot, so the strict contract is asserted there.)
 
 #include <cstddef>
+#include <new>
 #include <string>
+#include <vector>
 
 #include "dfr/nonlinearity.hpp"
 #include "fixedpoint/fixed.hpp"
@@ -84,10 +107,53 @@ using PreaddNonlinFn = void (*)(const Nonlinearity& f, double a,
                                 const double* j, const double* x_prev,
                                 double* out, std::size_t nx);
 
-/// Streaming DPRR accumulate: r[i*nx + j] += x_k[i] * x_km1[j] for all i, j,
-/// and r[nx*nx + i] += x_k[i]. `r` has dprr_dim(nx) = nx*(nx+1) entries.
+/// Row alignment of the padded single-series layout, in doubles: a multiple
+/// of every backend's vector width.
+inline constexpr std::size_t kRowAlign = 8;
+
+/// Row stride of the padded single-series layout: nx rounded up to a
+/// multiple of kRowAlign.
+[[nodiscard]] constexpr std::size_t padded_nodes(std::size_t nx) noexcept {
+  return (nx + kRowAlign - 1) / kRowAlign * kRowAlign;
+}
+
+/// Allocator for padded-layout buffers: storage starts on a kRowAlign-double
+/// (64-byte) boundary, so with a row stride of padded_nodes(nx) every row
+/// starts on a cache line and no vector load or store splits one.
+template <typename T>
+struct RowAllocator {
+  using value_type = T;
+  static constexpr std::align_val_t kAlign{kRowAlign * sizeof(double)};
+
+  RowAllocator() = default;
+  template <typename U>
+  RowAllocator(const RowAllocator<U>&) noexcept {}
+
+  [[nodiscard]] T* allocate(std::size_t n) {
+    return static_cast<T*>(::operator new(n * sizeof(T), kAlign));
+  }
+  void deallocate(T* p, std::size_t) noexcept { ::operator delete(p, kAlign); }
+
+  friend bool operator==(const RowAllocator&, const RowAllocator&) = default;
+};
+
+/// A row-aligned double buffer of the padded layout.
+using AlignedVector = std::vector<double, RowAllocator<double>>;
+
+/// Size of a padded DPRR accumulator: nx cross-product rows plus one
+/// node-sum row, each padded_nodes(nx) wide.
+[[nodiscard]] constexpr std::size_t padded_dprr_size(std::size_t nx) noexcept {
+  return (nx + 1) * padded_nodes(nx);
+}
+
+/// Streaming DPRR accumulate over the padded layout (stride =
+/// padded_nodes(nx)): r[i*stride + j] += x_k[i] * x_km1[j] for i < nx and
+/// r[nx*stride + j] += x_k[j], for every j < nx. `x_k` and `x_km1` hold
+/// `stride` entries and `r` holds padded_dprr_size(nx). Kernels may also
+/// update the pad columns j in [nx, stride) from the pad lanes of the
+/// inputs; those columns never reach features.
 using DprrAddFn = void (*)(double* r, const double* x_k, const double* x_km1,
-                           std::size_t nx);
+                           std::size_t nx, std::size_t stride);
 
 /// In-place vector round-to-format: v[i] = fmt.quantize(v[i] * scale) for i
 /// in [0, n). Bit-identical to calling FixedPointFormat::quantize per
@@ -169,7 +235,13 @@ using BatchedDprrAddFn = void (*)(double* r, const double* x_k,
 /// accumulated from 0.0 in ascending v with separate multiply and add
 /// (never FMA). That is exactly the scalar Mask::apply_into -> matvec_into
 /// -> dot() evaluation order per lane, so every lane is bit-identical to
-/// the unbatched mask stage regardless of backend.
+/// the unbatched mask stage regardless of backend. The kernel is the
+/// product J = W U of an nx x channels matrix W and a channels x lanes
+/// matrix U; the single-series SIMD datapaths run their mask through it
+/// too, as the 1-row product u(k)^T M^T with `weights` = u(k), `u` = the
+/// transposed, zero-padded mask (channels x padded_nodes(Nx)) and `lanes` =
+/// padded_nodes(Nx), so nodes fill the vector lanes (w*u and u*w round
+/// identically).
 using BatchedMaskFn = void (*)(const double* weights, std::size_t nx,
                                std::size_t channels, const double* u,
                                double* j, std::size_t lanes);

@@ -147,50 +147,47 @@ void scale_quantize_avx2(const FixedPointFormat& fmt, double scale,
   }
 }
 
-// r[i*nx + jj] += x_k[i] * x_km1[jj] with explicit FMA (single rounding per
-// accumulate — the documented ULP-bound divergence from scalar), plus the
-// r[nx^2 + i] += x_k[i] node-sum column.
+// Padded-layout accumulate (see simd_kernels.hpp): `stride` is a multiple of
+// kWidth, so every row — and the node-sum row — is whole vectors.
+// r[i*stride + jj] += x_k[i] * x_km1[jj] with explicit FMA (single rounding
+// per accumulate — the documented ULP-bound divergence from scalar), plus
+// the r[nx*stride + jj] += x_k[jj] node-sum row.
 void dprr_add_avx2(double* r, const double* x_k, const double* x_km1,
-                   std::size_t nx) {
-  const std::size_t main = nx - nx % kWidth;
-  double* sums = r + nx * nx;
+                   std::size_t nx, std::size_t stride) {
   for (std::size_t i = 0; i < nx; ++i) {
-    const double xi = x_k[i];
-    const __m256d vxi = _mm256_set1_pd(xi);
-    double* row = r + i * nx;
-    for (std::size_t jj = 0; jj < main; jj += kWidth) {
+    const __m256d vxi = _mm256_set1_pd(x_k[i]);
+    double* row = r + i * stride;
+    for (std::size_t jj = 0; jj < stride; jj += kWidth) {
       const __m256d acc = _mm256_fmadd_pd(vxi, _mm256_loadu_pd(x_km1 + jj),
                                           _mm256_loadu_pd(row + jj));
       _mm256_storeu_pd(row + jj, acc);
     }
-    for (std::size_t jj = main; jj < nx; ++jj) {
-      row[jj] = std::fma(xi, x_km1[jj], row[jj]);
-    }
-    sums[i] += xi;
+  }
+  double* sums = r + nx * stride;
+  for (std::size_t jj = 0; jj < stride; jj += kWidth) {
+    _mm256_storeu_pd(sums + jj, _mm256_add_pd(_mm256_loadu_pd(sums + jj),
+                                              _mm256_loadu_pd(x_k + jj)));
   }
 }
 
 // The exact (quantized-family) accumulate: separate multiply and add, two
-// roundings per accumulate exactly like DprrAccumulator::add — never FMA
-// (this TU builds with -ffp-contract=off, so the tail cannot fuse either).
+// roundings per accumulate exactly like DprrAccumulator::add — never FMA.
 void dprr_add_exact_avx2(double* r, const double* x_k, const double* x_km1,
-                         std::size_t nx) {
-  const std::size_t main = nx - nx % kWidth;
-  double* sums = r + nx * nx;
+                         std::size_t nx, std::size_t stride) {
   for (std::size_t i = 0; i < nx; ++i) {
-    const double xi = x_k[i];
-    const __m256d vxi = _mm256_set1_pd(xi);
-    double* row = r + i * nx;
-    for (std::size_t jj = 0; jj < main; jj += kWidth) {
+    const __m256d vxi = _mm256_set1_pd(x_k[i]);
+    double* row = r + i * stride;
+    for (std::size_t jj = 0; jj < stride; jj += kWidth) {
       const __m256d acc = _mm256_add_pd(
           _mm256_loadu_pd(row + jj),
           _mm256_mul_pd(vxi, _mm256_loadu_pd(x_km1 + jj)));
       _mm256_storeu_pd(row + jj, acc);
     }
-    for (std::size_t jj = main; jj < nx; ++jj) {
-      row[jj] += xi * x_km1[jj];
-    }
-    sums[i] += xi;
+  }
+  double* sums = r + nx * stride;
+  for (std::size_t jj = 0; jj < stride; jj += kWidth) {
+    _mm256_storeu_pd(sums + jj, _mm256_add_pd(_mm256_loadu_pd(sums + jj),
+                                              _mm256_loadu_pd(x_k + jj)));
   }
 }
 

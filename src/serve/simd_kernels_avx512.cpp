@@ -10,8 +10,10 @@
 //    in the DPRR update fuses, covered by the documented ULP bound);
 //  * quantized family — bit-exact against the scalar fixed-point pipeline,
 //    no FMA anywhere (see simd_kernels.hpp).
-// Unlike the AVX2/NEON TUs, the single-series kernels here run their
-// remainder (nx % 8) through MASKED vector ops instead of a scalar tail:
+// The single-series DPRR kernels run over the padded layout (rows a multiple
+// of 8 wide) and so have no remainder at all. Unlike the AVX2/NEON TUs, the
+// elementwise single-series kernels here run their remainder (nx % 8)
+// through MASKED vector ops instead of a scalar tail:
 // maskz loads fill inactive lanes with +0.0 (harmless for every vectorized
 // operation below) and masked stores never touch memory past nx, while the
 // active lanes execute the exact same IEEE operation sequence as the main
@@ -179,58 +181,47 @@ void scale_quantize_avx512(const FixedPointFormat& fmt, double scale,
   }
 }
 
-// r[i*nx + jj] += x_k[i] * x_km1[jj] with explicit FMA (single rounding per
-// accumulate — the documented ULP-bound divergence from scalar), plus the
-// r[nx^2 + i] += x_k[i] node-sum column.
+// Padded-layout accumulate (see simd_kernels.hpp): `stride` is a multiple of
+// kWidth, so every row — and the node-sum row — is whole vectors.
+// r[i*stride + jj] += x_k[i] * x_km1[jj] with explicit FMA (single rounding
+// per accumulate — the documented ULP-bound divergence from scalar), plus
+// the r[nx*stride + jj] += x_k[jj] node-sum row.
 void dprr_add_avx512(double* r, const double* x_k, const double* x_km1,
-                     std::size_t nx) {
-  const std::size_t main = nx - nx % kWidth;
-  const __mmask8 mtail = main != nx ? tail_mask(nx - main) : __mmask8{0};
-  double* sums = r + nx * nx;
+                     std::size_t nx, std::size_t stride) {
   for (std::size_t i = 0; i < nx; ++i) {
-    const double xi = x_k[i];
-    const __m512d vxi = _mm512_set1_pd(xi);
-    double* row = r + i * nx;
-    for (std::size_t jj = 0; jj < main; jj += kWidth) {
+    const __m512d vxi = _mm512_set1_pd(x_k[i]);
+    double* row = r + i * stride;
+    for (std::size_t jj = 0; jj < stride; jj += kWidth) {
       const __m512d acc = _mm512_fmadd_pd(vxi, _mm512_loadu_pd(x_km1 + jj),
                                           _mm512_loadu_pd(row + jj));
       _mm512_storeu_pd(row + jj, acc);
     }
-    if (main != nx) {
-      const __m512d acc =
-          _mm512_fmadd_pd(vxi, _mm512_maskz_loadu_pd(mtail, x_km1 + main),
-                          _mm512_maskz_loadu_pd(mtail, row + main));
-      _mm512_mask_storeu_pd(row + main, mtail, acc);
-    }
-    sums[i] += xi;
+  }
+  double* sums = r + nx * stride;
+  for (std::size_t jj = 0; jj < stride; jj += kWidth) {
+    _mm512_storeu_pd(sums + jj, _mm512_add_pd(_mm512_loadu_pd(sums + jj),
+                                              _mm512_loadu_pd(x_k + jj)));
   }
 }
 
 // The exact (quantized-family) accumulate: separate multiply and add, two
-// roundings per accumulate exactly like DprrAccumulator::add — never FMA
-// (this TU builds with -ffp-contract=off, so the tail cannot fuse either).
+// roundings per accumulate exactly like DprrAccumulator::add — never FMA.
 void dprr_add_exact_avx512(double* r, const double* x_k, const double* x_km1,
-                           std::size_t nx) {
-  const std::size_t main = nx - nx % kWidth;
-  const __mmask8 mtail = main != nx ? tail_mask(nx - main) : __mmask8{0};
-  double* sums = r + nx * nx;
+                           std::size_t nx, std::size_t stride) {
   for (std::size_t i = 0; i < nx; ++i) {
-    const double xi = x_k[i];
-    const __m512d vxi = _mm512_set1_pd(xi);
-    double* row = r + i * nx;
-    for (std::size_t jj = 0; jj < main; jj += kWidth) {
+    const __m512d vxi = _mm512_set1_pd(x_k[i]);
+    double* row = r + i * stride;
+    for (std::size_t jj = 0; jj < stride; jj += kWidth) {
       const __m512d acc = _mm512_add_pd(
           _mm512_loadu_pd(row + jj),
           _mm512_mul_pd(vxi, _mm512_loadu_pd(x_km1 + jj)));
       _mm512_storeu_pd(row + jj, acc);
     }
-    if (main != nx) {
-      const __m512d acc = _mm512_add_pd(
-          _mm512_maskz_loadu_pd(mtail, row + main),
-          _mm512_mul_pd(vxi, _mm512_maskz_loadu_pd(mtail, x_km1 + main)));
-      _mm512_mask_storeu_pd(row + main, mtail, acc);
-    }
-    sums[i] += xi;
+  }
+  double* sums = r + nx * stride;
+  for (std::size_t jj = 0; jj < stride; jj += kWidth) {
+    _mm512_storeu_pd(sums + jj, _mm512_add_pd(_mm512_loadu_pd(sums + jj),
+                                              _mm512_loadu_pd(x_k + jj)));
   }
 }
 

@@ -133,46 +133,44 @@ void scale_quantize_neon(const FixedPointFormat& fmt, double scale,
   }
 }
 
+// Padded-layout accumulate (see simd_kernels.hpp): `stride` is a multiple of
+// kWidth, so every row — and the node-sum row — is whole vectors.
+// r[i*stride + jj] += x_k[i] * x_km1[jj] with explicit FMA (single rounding
+// per accumulate — the documented ULP-bound divergence from scalar), plus
+// the r[nx*stride + jj] += x_k[jj] node-sum row.
 void dprr_add_neon(double* r, const double* x_k, const double* x_km1,
-                   std::size_t nx) {
-  const std::size_t main = nx - nx % kWidth;
-  double* sums = r + nx * nx;
+                   std::size_t nx, std::size_t stride) {
   for (std::size_t i = 0; i < nx; ++i) {
-    const double xi = x_k[i];
-    const float64x2_t vxi = vdupq_n_f64(xi);
-    double* row = r + i * nx;
-    for (std::size_t jj = 0; jj < main; jj += kWidth) {
+    const float64x2_t vxi = vdupq_n_f64(x_k[i]);
+    double* row = r + i * stride;
+    for (std::size_t jj = 0; jj < stride; jj += kWidth) {
       const float64x2_t acc =
           vfmaq_f64(vld1q_f64(row + jj), vxi, vld1q_f64(x_km1 + jj));
       vst1q_f64(row + jj, acc);
     }
-    for (std::size_t jj = main; jj < nx; ++jj) {
-      row[jj] = std::fma(xi, x_km1[jj], row[jj]);
-    }
-    sums[i] += xi;
+  }
+  double* sums = r + nx * stride;
+  for (std::size_t jj = 0; jj < stride; jj += kWidth) {
+    vst1q_f64(sums + jj, vaddq_f64(vld1q_f64(sums + jj), vld1q_f64(x_k + jj)));
   }
 }
 
 // The exact (quantized-family) accumulate: separate multiply and add, two
-// roundings per accumulate exactly like DprrAccumulator::add — never FMA
-// (this TU builds with -ffp-contract=off, so the tail cannot fuse either).
+// roundings per accumulate exactly like DprrAccumulator::add — never FMA.
 void dprr_add_exact_neon(double* r, const double* x_k, const double* x_km1,
-                         std::size_t nx) {
-  const std::size_t main = nx - nx % kWidth;
-  double* sums = r + nx * nx;
+                         std::size_t nx, std::size_t stride) {
   for (std::size_t i = 0; i < nx; ++i) {
-    const double xi = x_k[i];
-    const float64x2_t vxi = vdupq_n_f64(xi);
-    double* row = r + i * nx;
-    for (std::size_t jj = 0; jj < main; jj += kWidth) {
+    const float64x2_t vxi = vdupq_n_f64(x_k[i]);
+    double* row = r + i * stride;
+    for (std::size_t jj = 0; jj < stride; jj += kWidth) {
       const float64x2_t acc = vaddq_f64(
           vld1q_f64(row + jj), vmulq_f64(vxi, vld1q_f64(x_km1 + jj)));
       vst1q_f64(row + jj, acc);
     }
-    for (std::size_t jj = main; jj < nx; ++jj) {
-      row[jj] += xi * x_km1[jj];
-    }
-    sums[i] += xi;
+  }
+  double* sums = r + nx * stride;
+  for (std::size_t jj = 0; jj < stride; jj += kWidth) {
+    vst1q_f64(sums + jj, vaddq_f64(vld1q_f64(sums + jj), vld1q_f64(x_k + jj)));
   }
 }
 

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <new>
 #include <sstream>
@@ -71,6 +72,20 @@ LoadedModel make_model(std::size_t nodes, std::size_t channels, int classes,
   for (double& v : b) v = rng.uniform(-0.1, 0.1);
   model.readout = OutputLayer(std::move(w), std::move(b));
   return model;
+}
+
+/// Polls `done` until it holds or `timeout` passes; true when it held. For
+/// waiting on a worker's progress without betting on how many scheduler
+/// yields that takes on a loaded host.
+template <typename Pred>
+bool wait_until(const Pred& done,
+                std::chrono::milliseconds timeout = std::chrono::seconds(10)) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  return true;
 }
 
 Matrix random_series(std::size_t t_len, std::size_t channels, Rng& rng) {
@@ -753,15 +768,15 @@ TEST_F(ServerRouting, AbandonedFuturesRecycleSlots) {
   for (int i = 0; i < 50; ++i) {
     (void)server.submit("a", (*series_a_)[0]);  // future dropped immediately
   }
-  // If abandoned slots leaked, capacity would stay exhausted forever; allow
-  // the worker a moment to recycle the last in-flight ones.
-  bool accepted = false;
-  for (int attempt = 0; attempt < 1000 && !accepted; ++attempt) {
-    InferFuture future = server.submit("a", (*series_a_)[0]);
-    accepted = future.get().status == RequestStatus::kOk;
-    if (!accepted) std::this_thread::yield();
-  }
-  EXPECT_TRUE(accepted) << "abandoned futures leaked their slots";
+  // Every dropped future's slot is now free or queued and abandoned; the
+  // worker frees the abandoned ones as it reaches them. Once nothing is
+  // pending, the whole capacity must be free again — if abandoned slots
+  // leaked, capacity would stay exhausted forever.
+  ASSERT_TRUE(wait_until([&] { return server.queue_depth() == 0; }))
+      << "worker never drained the abandoned requests";
+  EXPECT_EQ(server.submit("a", (*series_a_)[0]).get().status,
+            RequestStatus::kOk)
+      << "abandoned futures leaked their slots";
 }
 
 TEST_F(ServerRouting, AbandonedFutureNeverReadsADestroyedSeries) {
@@ -1061,13 +1076,11 @@ TEST_F(ServerRouting, AbandonedFuturesRecycleSlotsUnderBatching) {
   for (int i = 0; i < 50; ++i) {
     (void)server.submit("a", (*series_a_)[0]);  // dropped immediately
   }
-  bool accepted = false;
-  for (int attempt = 0; attempt < 1000 && !accepted; ++attempt) {
-    InferFuture future = server.submit("a", (*series_a_)[0]);
-    accepted = future.get().status == RequestStatus::kOk;
-    if (!accepted) std::this_thread::yield();
-  }
-  EXPECT_TRUE(accepted) << "abandoned futures leaked slots under batching";
+  ASSERT_TRUE(wait_until([&] { return server.queue_depth() == 0; }))
+      << "worker never drained the abandoned requests";
+  EXPECT_EQ(server.submit("a", (*series_a_)[0]).get().status,
+            RequestStatus::kOk)
+      << "abandoned futures leaked slots under batching";
 
   // The destroy-future-then-series pattern stays safe with lanes in flight
   // (ASan in CI turns any violation into a hard failure).

@@ -1,6 +1,8 @@
 // Tests for the SIMD reservoir-step datapath (serve/simd_kernels.hpp,
 // SimdFloatDatapath): runtime dispatch and forcing (programmatic + DFR_SIMD
-// env), the exact-match contract on the mask/preadd stage, ULP-bounded
+// env), the exact-match contract on the mask/preadd stage, the padded DPRR
+// kernels bit for bit around the row alignment (with poisoned pad lanes
+// that must never reach features or logits), ULP-bounded
 // equivalence of finalized features against the scalar pipeline across every
 // nonlinearity and odd Nx sizes (Nx < vector width, Nx not a multiple of it),
 // classify_batch determinism under forced dispatch, the LoadedModel engine
@@ -123,6 +125,10 @@ constexpr NonlinearityKind kAllKinds[] = {
 // Odd shapes: below any vector width, odd, prime, and large non-multiples
 // of the NEON (2), AVX2 (4), and AVX-512 (8) widths.
 constexpr std::size_t kOddSizes[] = {1, 2, 3, 5, 30, 101};
+
+// Sizes around the padded layout's row alignment (8): below it, at it, one
+// past it, and shapes that end in a partial vector.
+constexpr std::size_t kPaddingSizes[] = {1, 7, 8, 9, 30, 31, 50};
 
 // ---- dispatch plumbing -----------------------------------------------------
 
@@ -289,6 +295,169 @@ TEST(SimdKernels, PreaddStageBitExactAcrossBackends) {
         for (std::size_t n = 0; n < nx; ++n) {
           ASSERT_EQ(out[n], out_ref[n])
               << simd::backend_name(b) << " nx=" << nx << " n=" << n;
+        }
+      }
+    }
+  }
+}
+
+// The padded mask stage (transposed, zero-padded mask through the batched
+// mask kernel) against Mask::apply_into: dot()'s order per node, so EXACT on
+// every backend, at sizes around the row alignment and several channel
+// counts.
+TEST(SimdKernels, MaskStageBitExactAcrossBackends) {
+  const DfrParams params{0.1, 0.05};
+  const Nonlinearity f(NonlinearityKind::kIdentity);
+  Rng rng(29);
+  for (std::size_t nx : kPaddingSizes) {
+    for (std::size_t channels : {1u, 2u, 5u}) {
+      const Mask mask(nx, channels, MaskKind::kUniform, rng);
+      Vector u(channels);
+      for (double& v : u) v = rng.uniform(-3.0, 3.0);
+      Vector ref(nx);
+      mask.apply_into(u, ref);
+      for (simd::Backend b : available_backends()) {
+        const SimdFloatDatapath datapath(mask, params, f, b);
+        Vector j(simd::padded_nodes(nx), 1.0);
+        datapath.mask_into(u, j);
+        for (std::size_t n = 0; n < nx; ++n) {
+          ASSERT_EQ(ordered_bits(j[n]), ordered_bits(ref[n]))
+              << simd::backend_name(b) << " nx=" << nx
+              << " channels=" << channels << " n=" << n;
+        }
+        for (std::size_t n = nx; n < j.size(); ++n) {
+          ASSERT_EQ(j[n], 0.0) << "pad lanes of the masked input start at zero";
+        }
+      }
+    }
+  }
+}
+
+// ---- padded DPRR kernels ---------------------------------------------------
+
+/// Runs one padded DPRR kernel over the steps of `xs` (each nx wide) with
+/// every pad lane — of the input rows and of the accumulator — holding
+/// `pad`, then gathers the unpadded Nx*(Nx+1) feature vector the way
+/// BasicEngine does.
+Vector padded_dprr(simd::DprrAddFn kernel, const std::vector<Vector>& xs,
+                   std::size_t nx, double pad) {
+  const std::size_t stride = simd::padded_nodes(nx);
+  std::vector<Vector> rows;
+  for (const Vector& x : xs) {
+    Vector row(stride, pad);
+    std::copy(x.begin(), x.end(), row.begin());
+    rows.push_back(std::move(row));
+  }
+  Vector acc(simd::padded_dprr_size(nx), pad);
+  for (std::size_t i = 0; i <= nx; ++i) {
+    std::fill_n(acc.begin() + static_cast<std::ptrdiff_t>(i * stride), nx, 0.0);
+  }
+  for (std::size_t k = 1; k < rows.size(); ++k) {
+    kernel(acc.data(), rows[k].data(), rows[k - 1].data(), nx, stride);
+  }
+  Vector r(dprr_dim(nx));
+  for (std::size_t i = 0; i <= nx; ++i) {
+    std::copy_n(acc.begin() + static_cast<std::ptrdiff_t>(i * stride), nx,
+                r.begin() + static_cast<std::ptrdiff_t>(i * nx));
+  }
+  return r;
+}
+
+/// The float-family reference: DprrAccumulator::add's loop with every
+/// cross-product accumulate fused (one rounding), as the vector backends'
+/// dprr_add computes it.
+Vector fma_dprr(const std::vector<Vector>& xs, std::size_t nx) {
+  Vector r(dprr_dim(nx), 0.0);
+  for (std::size_t k = 1; k < xs.size(); ++k) {
+    for (std::size_t i = 0; i < nx; ++i) {
+      const double xi = xs[k][i];
+      for (std::size_t j = 0; j < nx; ++j) {
+        r[i * nx + j] = std::fma(xi, xs[k - 1][j], r[i * nx + j]);
+      }
+      r[nx * nx + i] += xi;
+    }
+  }
+  return r;
+}
+
+std::vector<Vector> random_states(std::size_t steps, std::size_t nx, Rng& rng) {
+  std::vector<Vector> xs(steps + 1, Vector(nx));
+  for (Vector& x : xs) {
+    for (double& v : x) v = rng.uniform(-1.0, 1.0);
+  }
+  return xs;
+}
+
+// dprr_add against the FMA-order reference and dprr_add_exact against
+// DprrAccumulator::add, bit for bit, on every backend at sizes below, at,
+// and just past the row alignment and at the serving shapes that end in a
+// partial vector. The scalar backend has no FMA: its float kernel rounds
+// twice, like DprrAccumulator.
+TEST(SimdKernels, PaddedDprrBitIdenticalAtAwkwardSizes) {
+  Rng rng(31);
+  for (std::size_t nx : kPaddingSizes) {
+    const std::vector<Vector> xs = random_states(40, nx, rng);
+    DprrAccumulator exact(nx);
+    for (std::size_t k = 1; k < xs.size(); ++k) exact.add(xs[k], xs[k - 1]);
+    const Vector fused = fma_dprr(xs, nx);
+    for (simd::Backend b : available_backends()) {
+      const simd::Kernels& kernels = simd::kernels_for(b);
+      const Vector& float_ref =
+          b == simd::Backend::kScalar ? exact.features() : fused;
+      const Vector got = padded_dprr(kernels.dprr_add, xs, nx, 0.0);
+      const Vector got_exact = padded_dprr(kernels.dprr_add_exact, xs, nx, 0.0);
+      for (std::size_t i = 0; i < float_ref.size(); ++i) {
+#if defined(__x86_64__) || defined(_M_X64)
+        ASSERT_EQ(ordered_bits(got[i]), ordered_bits(float_ref[i]))
+            << simd::backend_name(b) << " dprr_add nx=" << nx << " i=" << i;
+        ASSERT_EQ(ordered_bits(got_exact[i]),
+                  ordered_bits(exact.features()[i]))
+            << simd::backend_name(b) << " dprr_add_exact nx=" << nx
+            << " i=" << i;
+#else
+        // The scalar references may be FMA-contracted off x86-64.
+        ASSERT_LE(ulp_distance(got[i], float_ref[i]), 64u)
+            << simd::backend_name(b) << " dprr_add nx=" << nx << " i=" << i;
+        ASSERT_LE(ulp_distance(got_exact[i], exact.features()[i]), 64u)
+            << simd::backend_name(b) << " dprr_add_exact nx=" << nx
+            << " i=" << i;
+#endif
+      }
+    }
+  }
+}
+
+// Pad lanes never reach features: with every pad lane of the inputs and of
+// the accumulator set to NaN or -0.0, the gathered features — and the logits
+// a readout computes from them — are bit-identical to the zero-padded run.
+TEST(SimdKernels, PadLanesNeverReachFeaturesOrLogits) {
+  Rng rng(37);
+  for (std::size_t nx : kPaddingSizes) {
+    const std::vector<Vector> xs = random_states(25, nx, rng);
+    Matrix w(3, dprr_dim(nx));
+    for (std::size_t c = 0; c < w.rows(); ++c) {
+      for (std::size_t f = 0; f < w.cols(); ++f) w(c, f) = rng.uniform(-1.0, 1.0);
+    }
+    const OutputLayer readout(std::move(w), Vector{0.1, -0.2, 0.3});
+    for (simd::Backend b : available_backends()) {
+      const simd::Kernels& kernels = simd::kernels_for(b);
+      for (simd::DprrAddFn kernel : {kernels.dprr_add, kernels.dprr_add_exact}) {
+        const Vector clean = padded_dprr(kernel, xs, nx, 0.0);
+        const Vector clean_logits = readout.logits(clean);
+        for (double pad : {std::numeric_limits<double>::quiet_NaN(), -0.0}) {
+          const Vector dirty = padded_dprr(kernel, xs, nx, pad);
+          const Vector dirty_logits = readout.logits(dirty);
+          for (std::size_t i = 0; i < clean.size(); ++i) {
+            ASSERT_EQ(ordered_bits(dirty[i]), ordered_bits(clean[i]))
+                << simd::backend_name(b) << " nx=" << nx << " pad=" << pad
+                << " feature " << i;
+          }
+          for (std::size_t c = 0; c < clean_logits.size(); ++c) {
+            ASSERT_EQ(ordered_bits(dirty_logits[c]),
+                      ordered_bits(clean_logits[c]))
+                << simd::backend_name(b) << " nx=" << nx << " pad=" << pad
+                << " logit " << c;
+          }
         }
       }
     }

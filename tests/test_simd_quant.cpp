@@ -240,11 +240,26 @@ TEST(QuantKernels, DprrAddExactBitExactAcrossBackends) {
     for (std::size_t k = 1; k <= kSteps; ++k) {
       reference.add(xs[k], xs[k - 1]);
     }
+    // The kernel runs over the padded layout: zero-padded input rows, an
+    // accumulator of padded_dprr_size(nx), and the unpadded features
+    // gathered out of it afterwards.
+    const std::size_t stride = simd::padded_nodes(nx);
+    std::vector<Vector> padded;
+    for (const Vector& x : xs) {
+      Vector row(stride, 0.0);
+      std::copy(x.begin(), x.end(), row.begin());
+      padded.push_back(std::move(row));
+    }
     for (simd::Backend b : available_backends()) {
-      Vector r(dprr_dim(nx), 0.0);
+      Vector acc(simd::padded_dprr_size(nx), 0.0);
       for (std::size_t k = 1; k <= kSteps; ++k) {
-        simd::kernels_for(b).dprr_add_exact(r.data(), xs[k].data(),
-                                            xs[k - 1].data(), nx);
+        simd::kernels_for(b).dprr_add_exact(acc.data(), padded[k].data(),
+                                            padded[k - 1].data(), nx, stride);
+      }
+      Vector r(dprr_dim(nx), 0.0);
+      for (std::size_t i = 0; i <= nx; ++i) {
+        std::copy_n(acc.begin() + static_cast<std::ptrdiff_t>(i * stride), nx,
+                    r.begin() + static_cast<std::ptrdiff_t>(i * nx));
       }
       // Strict on x86-64; on other architectures the scalar reference
       // (dprr.cpp, built without -ffp-contract=off) may itself fuse, so the

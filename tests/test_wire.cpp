@@ -145,6 +145,23 @@ TEST(WireRoundTrip, ResponseEveryStatusAndTrickyLogits) {
   }
 }
 
+// Error responses carry no logits. Decoding one reads zero doubles into an
+// empty vector, whose data() may be null — a case the sanitizer job
+// (-fsanitize=undefined) rejects if the decoder hands it to memcpy.
+TEST(WireRoundTrip, ResponseWithEmptyLogits) {
+  WireResponse response;
+  response.seq = 7;
+  response.status = WireStatus::kUnavailable;
+  response.label = -1;
+  std::vector<std::byte> frame;
+  encode_response(response, frame);
+  const WireResponse decoded = decode_response(frame);
+  EXPECT_EQ(decoded.seq, response.seq);
+  EXPECT_EQ(decoded.status, response.status);
+  EXPECT_EQ(decoded.label, -1);
+  EXPECT_TRUE(decoded.logits.empty());
+}
+
 TEST(WireRoundTrip, HealthAndDrainFrames) {
   std::vector<std::byte> frame;
   encode_health_response(HealthInfo{true, false, 12}, 7, frame);
