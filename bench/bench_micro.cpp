@@ -4,6 +4,10 @@
 //     backward pass is O(Nx^2) regardless of T while full BPTT is O(T Nx^2),
 //     i.e. the ~1/T compute reduction the paper states;
 //   * forward / DPRR / mask / ridge kernels for profiling context;
+//   * one backprop training sample stage by stage (BM_Train*: truncated
+//     forward, output-layer backward, truncated backprop, SGD step, ridge
+//     sweep) at the tune workload's ECG / JPVOW / LIB shapes, on every
+//     backend;
 //   * the single-series SIMD serving path stage by stage (mask, preadd +
 //     nonlinearity, B-chain, DPRR accumulate, readout) and whole, on every
 //     backend this host runs (chosen with simd::force_backend), at
@@ -13,6 +17,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <string>
 
 #include "data/synth.hpp"
 #include "dfr/backprop.hpp"
@@ -328,9 +333,153 @@ void BM_SimdInfer(benchmark::State& state) {
   }
 }
 
+// ---- backprop training, stage by stage ------------------------------------
+//
+// One training sample's stages at the tune workload's shapes (Nx = 30, a
+// 60-sample cap, 48 of them in the ridge fit split and 12 in selection):
+// the truncated forward (window 1) on the case's backend, the output layer's
+// forward + backward, the truncated backprop, the SGD step, and the ridge
+// sweep over the paper's beta grid. Only the forward dispatches; the other
+// stages are timed per backend to keep the table uniform.
+
+struct TrainShape {
+  const char* name;
+  std::size_t t_len;
+  std::size_t channels;
+  int classes;
+};
+constexpr TrainShape kTrainShapes[] = {
+    {"ECG", 151, 2, 2}, {"JPVOW", 28, 12, 9}, {"LIB", 44, 2, 15}};
+constexpr std::size_t kTrainNodes = 30;
+
+struct TrainFixture {
+  TrainShape shape;
+  ModularReservoir reservoir{kTrainNodes, Nonlinearity{}};
+  Mask mask;
+  DfrParams params{0.2, 0.3};
+  Matrix series;
+  OutputLayer output;
+  StreamingForward forward;
+  TruncatedForward fwd;
+  int label = 1;
+
+  explicit TrainFixture(const TrainShape& s)
+      : shape(s),
+        mask(make_mask(s)),
+        series(random_series(s.t_len, s.channels, 11)),
+        output(s.classes, dprr_dim(kTrainNodes)),
+        forward(reservoir, mask, 1) {
+    Rng rng(13);
+    for (std::size_t c = 0; c < output.weights().rows(); ++c) {
+      for (std::size_t f = 0; f < output.weights().cols(); ++f) {
+        output.mutable_weights()(c, f) = 0.01 * rng.normal();
+      }
+    }
+    forward.run(params, series, fwd);
+    scale(fwd.dprr, dprr_time_scale(s.t_len));  // as the trainer feeds it
+  }
+
+  static Mask make_mask(const TrainShape& s) {
+    Rng rng(7);
+    return Mask(kTrainNodes, s.channels, MaskKind::kBinary, rng);
+  }
+};
+
+/// Selects the case's backend (range(0)) and returns its shape (range(1)).
+const TrainShape& select_train_case(benchmark::State& state) {
+  select_backend(state);
+  const TrainShape& shape = kTrainShapes[state.range(1)];
+  state.SetLabel(std::string(simd::backend_name(simd::active_backend())) +
+                 " " + shape.name);
+  return shape;
+}
+
+void BM_TrainForward(benchmark::State& state) {
+  TrainFixture fx(select_train_case(state));
+  for (auto _ : state) {
+    fx.forward.run(fx.params, fx.series, fx.fwd);
+    benchmark::DoNotOptimize(fx.fwd.dprr.data());
+    benchmark::ClobberMemory();
+  }
+}
+
+void BM_TrainOutputBackward(benchmark::State& state) {
+  const TrainFixture fx(select_train_case(state));
+  for (auto _ : state) {
+    auto grads = fx.output.backward(fx.fwd.dprr, fx.label);
+    benchmark::DoNotOptimize(grads.dfeatures.data());
+  }
+}
+
+void BM_TrainBackprop(benchmark::State& state) {
+  const TrainFixture fx(select_train_case(state));
+  const auto out = fx.output.backward(fx.fwd.dprr, fx.label);
+  for (auto _ : state) {
+    auto grads = backprop_through_dprr(fx.reservoir, fx.params,
+                                       fx.fwd.tail_states, fx.fwd.tail_j,
+                                       out.dfeatures, 1);
+    benchmark::DoNotOptimize(grads);
+  }
+}
+
+void BM_TrainApplyGradient(benchmark::State& state) {
+  TrainFixture fx(select_train_case(state));
+  const auto out = fx.output.backward(fx.fwd.dprr, fx.label);
+  for (auto _ : state) {
+    fx.output.apply_gradient(out, fx.fwd.dprr, 1e-9);
+    benchmark::DoNotOptimize(fx.output.weights().data());
+    benchmark::ClobberMemory();
+  }
+}
+
+void BM_TrainRidgeSweep(benchmark::State& state) {
+  const TrainShape& shape = select_train_case(state);
+  Rng rng(19);
+  const auto features = [&](std::size_t n) {
+    FeatureMatrix fm;
+    fm.features.resize(n, dprr_dim(kTrainNodes));
+    fm.labels.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t f = 0; f < fm.features.cols(); ++f) {
+        fm.features(i, f) = 0.1 * rng.normal();
+      }
+      fm.labels[i] = static_cast<int>(i % static_cast<std::size_t>(shape.classes));
+    }
+    return fm;
+  };
+  const FeatureMatrix fit = features(48);
+  const FeatureMatrix selection = features(12);
+  for (auto _ : state) {
+    auto sweep = sweep_ridge(fit, selection, shape.classes);
+    benchmark::DoNotOptimize(sweep.best_index);
+  }
+}
+
 /// Registers every stage case for each backend this host runs, at
-/// Nx in {7, 30, 31, 50}.
+/// Nx in {7, 30, 31, 50}, and every training stage at the tune shapes.
 void register_stage_benchmarks() {
+  const std::pair<const char*, void (*)(benchmark::State&)> train_stages[] = {
+      {"BM_TrainForward", BM_TrainForward},
+      {"BM_TrainOutputBackward", BM_TrainOutputBackward},
+      {"BM_TrainBackprop", BM_TrainBackprop},
+      {"BM_TrainApplyGradient", BM_TrainApplyGradient},
+      {"BM_TrainRidgeSweep", BM_TrainRidgeSweep},
+  };
+  for (const auto& [name, fn] : train_stages) {
+    benchmark::internal::Benchmark* bench =
+        benchmark::RegisterBenchmark(name, fn);
+    bench->Unit(fn == BM_TrainRidgeSweep ? benchmark::kMillisecond
+                                         : benchmark::kMicrosecond);
+    for (simd::Backend backend :
+         {simd::Backend::kScalar, simd::Backend::kAvx2, simd::Backend::kNeon,
+          simd::Backend::kAvx512}) {
+      if (!simd::backend_available(backend)) continue;
+      for (std::int64_t shape = 0; shape < 3; ++shape) {
+        bench->Args({static_cast<std::int64_t>(backend), shape});
+      }
+    }
+  }
+
   const std::pair<const char*, void (*)(benchmark::State&)> stages[] = {
       {"BM_SimdMask", BM_SimdMask},
       {"BM_SimdPreaddNonlin", BM_SimdPreaddNonlin},

@@ -120,47 +120,110 @@ ReservoirGradients backprop_full(const ModularReservoir& reservoir,
                                threads);
 }
 
+StreamingForward::StreamingForward(const ModularReservoir& reservoir,
+                                   const Mask& mask, std::size_t window,
+                                   const simd::Kernels& kernels)
+    : f_(reservoir.nonlinearity()),
+      kernels_(&kernels),
+      nx_(reservoir.nodes()),
+      channels_(mask.channels()),
+      stride_(simd::padded_nodes(reservoir.nodes())),
+      window_(window),
+      mask_t_(simd::transposed_padded_mask(mask)),
+      states_((window + 1) * stride_, 0.0),
+      j_(window * stride_, 0.0),
+      dprr_(simd::padded_dprr_size(nx_), 0.0) {
+  DFR_CHECK_MSG(window >= 1, "window must be at least 1");
+  DFR_CHECK_MSG(mask.nodes() == nx_, "mask rows != reservoir node count");
+}
+
+void StreamingForward::stream(const DfrParams& params, const Matrix& series) {
+  const std::size_t t_len = series.rows();
+  DFR_CHECK_MSG(t_len >= 1, "series must have at least one step");
+  DFR_CHECK_MSG(series.cols() == channels_, "series channel count != mask width");
+  kept_ = std::min(window_, t_len);
+  const std::size_t slots = kept_ + 1;
+
+  // x(0) = 0 in slot 0. Pad lanes are zero from construction on: no stage
+  // below writes a state row past Nx.
+  std::fill_n(states_.begin(), nx_, 0.0);
+  std::fill(dprr_.begin(), dprr_.end(), 0.0);
+
+  const double* u = series.data();
+  std::size_t cur = 0;     // ring slot of x(k-1)
+  std::size_t j_slot = 0;  // ring slot of j(k)
+  for (std::size_t k = 0; k < t_len; ++k, u += channels_) {
+    const std::size_t next = cur + 1 == slots ? 0 : cur + 1;
+    double* j = j_.data() + j_slot * stride_;
+    const double* x_prev = states_.data() + cur * stride_;
+    double* x = states_.data() + next * stride_;
+    // j(k) = M u(k), nodes across the vector lanes, in dot()'s order.
+    kernels_->batched_mask(u, 1, channels_, mask_t_.data(), j, stride_);
+    // x(k)_n = A f~(j(k)_n + x(k-1)_n) + B x(k)_{n-1}: the data-parallel
+    // half, then the serial B-chain with ModularReservoir::step's operation
+    // order (one multiply, one add per node), head x(k-1)_{Nx}.
+    kernels_->preadd_nonlin(f_, params.a, j, x_prev, x, nx_);
+    double prev_node = x_prev[nx_ - 1];
+    for (std::size_t n = 0; n < nx_; ++n) {
+      prev_node = x[n] + params.b * prev_node;
+      x[n] = prev_node;
+    }
+    kernels_->dprr_add_exact(dprr_.data(), x, x_prev, nx_, stride_);
+    cur = next;
+    j_slot = j_slot + 1 == kept_ ? 0 : j_slot + 1;
+  }
+  cur_ = cur;
+}
+
+void StreamingForward::run(const DfrParams& params, const Matrix& series,
+                           TruncatedForward& out) {
+  stream(params, series);
+  const std::size_t t_len = series.rows();
+  const std::size_t slots = kept_ + 1;
+  out.steps = t_len;
+  out.dprr.resize(dprr_dim(nx_));
+  for (std::size_t i = 0; i <= nx_; ++i) {
+    std::copy_n(dprr_.begin() + static_cast<std::ptrdiff_t>(i * stride_), nx_,
+                out.dprr.begin() + static_cast<std::ptrdiff_t>(i * nx_));
+  }
+  // Unroll the rings into chronological tails. x(T) sits in slot cur_, so
+  // x(T-kept+i) sits i+1 slots after it (mod kept+1); j(k+1) was written to
+  // slot k % kept.
+  out.tail_states.resize(slots, nx_);
+  out.tail_j.resize(kept_, nx_);
+  for (std::size_t i = 0; i < slots; ++i) {
+    const std::size_t slot = (cur_ + 1 + i) % slots;
+    std::copy_n(states_.begin() + static_cast<std::ptrdiff_t>(slot * stride_),
+                nx_, out.tail_states.row(i).begin());
+  }
+  for (std::size_t i = 0; i < kept_; ++i) {
+    const std::size_t slot = (t_len - kept_ + i) % kept_;
+    std::copy_n(j_.begin() + static_cast<std::ptrdiff_t>(slot * stride_), nx_,
+                out.tail_j.row(i).begin());
+  }
+}
+
+void StreamingForward::features_into(const DfrParams& params,
+                                     const Matrix& series,
+                                     std::span<double> features) {
+  DFR_CHECK_MSG(features.size() == dprr_dim(nx_), "feature row has wrong length");
+  stream(params, series);
+  // Gather the Nx x Nx block and the node-sum row out of the padded
+  // accumulator and time-average them, as FloatDatapath::finalize does.
+  const double time_scale = dprr_time_scale(series.rows());
+  for (std::size_t i = 0; i <= nx_; ++i) {
+    const double* row = dprr_.data() + i * stride_;
+    double* dst = features.data() + i * nx_;
+    for (std::size_t c = 0; c < nx_; ++c) dst[c] = row[c] * time_scale;
+  }
+}
+
 TruncatedForward run_forward_truncated(const ModularReservoir& reservoir,
                                        const DfrParams& params, const Mask& mask,
                                        const Matrix& series, std::size_t window) {
-  const std::size_t nx = reservoir.nodes();
-  const std::size_t t_len = series.rows();
-  DFR_CHECK_MSG(t_len >= 1, "series must have at least one step");
-  DFR_CHECK_MSG(window >= 1, "window must be at least 1");
-  const std::size_t kept = std::min(window, t_len);
-
-  // Ring buffers: kept+1 state rows, kept masked-input rows.
-  Matrix state_ring(kept + 1, nx);  // starts as x(0)=0 in every slot
-  Matrix j_ring(kept, nx);
-  DprrAccumulator dprr(nx);
-
-  std::size_t cur = 0;  // ring slot holding x(k-1)
-  for (std::size_t k = 0; k < t_len; ++k) {
-    const std::size_t next = (cur + 1) % (kept + 1);
-    const Vector j_row = mask.apply(series.row(k));
-    reservoir.step(params, j_row, state_ring.row(cur), state_ring.row(next));
-    dprr.add(state_ring.row(next), state_ring.row(cur));
-    j_ring.set_row(k % kept, j_row);
-    cur = next;
-  }
-
-  // Unroll the rings into chronologically ordered tail matrices.
+  StreamingForward forward(reservoir, mask, window);
   TruncatedForward out;
-  out.steps = t_len;
-  out.dprr = dprr.features();
-  out.tail_states.resize(kept + 1, nx);
-  out.tail_j.resize(kept, nx);
-  for (std::size_t i = 0; i <= kept; ++i) {
-    // Row i should be x(T-kept+i); slot of x(k) is k % (kept+1) offset from cur.
-    const std::size_t k = t_len - kept + i;
-    const std::size_t slot =
-        (cur + (kept + 1) - (t_len - k) % (kept + 1)) % (kept + 1);
-    out.tail_states.set_row(i, state_ring.row(slot));
-  }
-  for (std::size_t i = 0; i < kept; ++i) {
-    const std::size_t k = t_len - kept + i;  // 0-based index of j(k+1)
-    out.tail_j.set_row(i, j_ring.row(k % kept));
-  }
+  forward.run(params, series, out);
   return out;
 }
 

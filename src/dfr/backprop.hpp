@@ -15,15 +15,26 @@
 // Both regimes are one implementation: `backprop_through_dprr` walks the last
 // `window` steps of whatever state history it is given. Passing the full
 // trajectory with window = T is full BPTT; passing a (w+1)-row tail with
-// window = w is the truncated method. `run_forward_truncated` produces such a
-// tail with O(w * Nx) memory using a ring buffer, which is what realizes the
-// paper's memory saving (Table 2).
+// window = w is the truncated method. `StreamingForward` (and its one-shot
+// form `run_forward_truncated`) produces such a tail with O(w * Nx) memory,
+// which is what realizes the paper's memory saving (Table 2).
+//
+// The streaming forward runs on the runtime-dispatched kernel table of
+// serve/simd_kernels.hpp, over its padded single-series layout: per time step
+// batched_mask, preadd_nonlin, the scalar B-chain, then dprr_add_exact (two
+// roundings per accumulate, never FMA). Every stage performs the scalar
+// pipeline's operations in the same order (mask.apply / ModularReservoir::
+// step / DprrAccumulator::add), so its dprr, tail states and tail inputs are
+// bit-identical to run_forward_full on every backend, and so is everything
+// trained from them. run_forward_full, ModularReservoir::run and
+// dprr_from_states stay scalar: they are the oracle, and the full-BPTT path.
 
 #include <cstddef>
 
 #include "dfr/dprr.hpp"
 #include "dfr/mask.hpp"
 #include "dfr/reservoir.hpp"
+#include "serve/simd_kernels.hpp"
 
 namespace dfr {
 
@@ -62,22 +73,73 @@ ReservoirGradients backprop_full(const ModularReservoir& reservoir,
 
 /// Result of a memory-bounded forward pass.
 struct TruncatedForward {
-  Vector dprr;          // DPRR features r (accumulated on the fly)
+  Vector dprr;          // DPRR features r (raw sums, accumulated on the fly)
   Matrix tail_states;   // (min(window,T)+1) x Nx: x(T-w)..x(T)
   Matrix tail_j;        // min(window,T) x Nx:     j(T-w+1)..j(T)
   std::size_t steps = 0;  // T
 
   /// Reservoir-state values held at any point during the pass (the Table-2
   /// "reservoir state" component): (window+1)*Nx, or (T+1)*Nx if T < window.
+  /// The padded ring that produces the tail stores each state at a stride of
+  /// simd::padded_nodes(Nx); its pad lanes are alignment, not state, and are
+  /// not counted here (StreamingForward::pad_values lists them).
   [[nodiscard]] std::size_t stored_state_values() const noexcept {
     return tail_states.size();
   }
 };
 
-/// Forward pass that keeps only the last (window+1) states and window masked
-/// inputs (ring buffer), accumulating the DPRR streamingly. This is the
-/// memory-lean path the paper's truncated method enables; combined with
-/// backprop_through_dprr it never materializes the full trajectory.
+/// The memory-lean forward pass the paper's truncated method enables: it
+/// keeps only the last (window+1) states and `window` masked inputs, in rings
+/// of padded rows, and accumulates the DPRR streamingly into a padded
+/// accumulator; combined with backprop_through_dprr it never materializes
+/// the full trajectory. One instance owns all scratch (the transposed mask
+/// operand, both rings, the accumulator) and reuses it for every series, so
+/// a pass performs no heap allocation once `out` has its shape. The trainer
+/// keeps one per fit and the batch feature extractor one per worker chunk;
+/// not thread-safe.
+class StreamingForward {
+ public:
+  /// Kernels default to simd::active_kernels() (DFR_SIMD / force_backend);
+  /// results are bit-identical for every backend.
+  StreamingForward(const ModularReservoir& reservoir, const Mask& mask,
+                   std::size_t window,
+                   const simd::Kernels& kernels = simd::active_kernels());
+
+  /// One series (T x V): raw-sum dprr plus the chronologically ordered tail
+  /// (see TruncatedForward), written into `out`, whose storage is reused.
+  void run(const DfrParams& params, const Matrix& series, TruncatedForward& out);
+
+  /// Time-averaged DPRR features of one series (dprr_dim(Nx) values; the
+  /// same values compute_features and the float engine produce).
+  void features_into(const DfrParams& params, const Matrix& series,
+                     std::span<double> features);
+
+  /// Pad lanes of the state ring during the last pass: (kept+1) *
+  /// (padded_nodes(Nx) - Nx), with kept = min(window, T). Listed apart from
+  /// TruncatedForward::stored_state_values, which counts state values only.
+  [[nodiscard]] std::size_t pad_values() const noexcept {
+    return (kept_ + 1) * (stride_ - nx_);
+  }
+
+ private:
+  /// Runs the series through the rings; leaves x(T) in ring slot cur_.
+  void stream(const DfrParams& params, const Matrix& series);
+
+  Nonlinearity f_;
+  const simd::Kernels* kernels_;
+  std::size_t nx_;
+  std::size_t channels_;
+  std::size_t stride_;  // simd::padded_nodes(nx_)
+  std::size_t window_;
+  std::size_t kept_ = 0;  // min(window, T) of the last pass
+  std::size_t cur_ = 0;   // ring slot of x(T) after a pass
+  simd::AlignedVector mask_t_;  // transposed padded mask operand
+  simd::AlignedVector states_;  // (window+1) padded state rows
+  simd::AlignedVector j_;       // window padded masked-input rows
+  simd::AlignedVector dprr_;    // padded_dprr_size(Nx) accumulator
+};
+
+/// One-shot StreamingForward::run on the active backend.
 TruncatedForward run_forward_truncated(const ModularReservoir& reservoir,
                                        const DfrParams& params, const Mask& mask,
                                        const Matrix& series, std::size_t window);

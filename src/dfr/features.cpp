@@ -1,5 +1,6 @@
 #include "dfr/features.hpp"
 
+#include "dfr/backprop.hpp"
 #include "serve/engine.hpp"
 #include "util/check.hpp"
 #include "util/parallel.hpp"
@@ -21,19 +22,17 @@ FeatureMatrix compute_features(const ModularReservoir& reservoir,
 
   if (representation == RepresentationKind::kDprr) {
     // Streaming path: the DPRR accumulator needs only (x(k), x(k-1)), so each
-    // worker drives one reusable engine over a contiguous chunk instead of
-    // materializing a (T+1) x Nx trajectory per sample. Row i is a pure
-    // function of sample i, so any chunking / thread count yields a
-    // bit-identical matrix (see for_each_with_engine in serve/engine.hpp).
+    // worker drives one reusable StreamingForward — the trainer's truncated
+    // forward, on the dispatched kernel table — over a contiguous chunk
+    // instead of materializing a (T+1) x Nx trajectory per sample. Row i is a
+    // pure function of sample i, so any chunking / thread count (and any
+    // backend) yields a bit-identical matrix (see for_each_with_engine in
+    // serve/engine.hpp).
     for_each_with_engine(
-        n, threads,
-        [&] {
-          return InferenceEngine(
-              FloatDatapath(mask, params, reservoir.nonlinearity()));
-        },
-        [&](InferenceEngine& engine, std::size_t i) {
+        n, threads, [&] { return StreamingForward(reservoir, mask, 1); },
+        [&](StreamingForward& forward, std::size_t i) {
           const Sample& sample = dataset[i];
-          out.features.set_row(i, engine.features(sample.series));
+          forward.features_into(params, sample.series, out.features.row(i));
           out.labels[i] = sample.label;
         });
     return out;

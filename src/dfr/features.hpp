@@ -2,7 +2,9 @@
 // Batch feature extraction: run the reservoir over every sample of a dataset
 // and stack the chosen representation into an N x Nr matrix for the ridge
 // solver. This is the forward-only path used by grid search, by the final
-// readout fit, and by evaluation.
+// readout fit, and by evaluation. The DPRR representation streams each
+// sample through StreamingForward (dfr/backprop.hpp) on the dispatched
+// kernel table; its rows are bit-identical on every backend.
 
 #include <vector>
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <optional>
 
 #include "dfr/features.hpp"
 #include "util/check.hpp"
@@ -45,33 +46,44 @@ GridCandidate evaluate_candidate(const GridSearchConfig& config,
     out.validation_loss = std::numeric_limits<double>::infinity();
   };
 
-  const FeatureMatrix fit_features = compute_features(
-      reservoir, params, mask, fit_split, RepresentationKind::kDprr);
-  const FeatureMatrix val_features = compute_features(
-      reservoir, params, mask, val_split, RepresentationKind::kDprr);
-  if (!usable(fit_features) || !usable(val_features)) {
-    invalidate();
-    return out;
-  }
-
   try {
-    const RidgeSweep sweep = sweep_ridge(fit_features, val_features,
-                                         train.num_classes(), config.betas);
-    out.beta = sweep.best().beta;
-    out.validation_loss = sweep.best().selection_loss;
+    {
+      // Selection in its own scope: its features and candidate layers are
+      // freed before the refit builds the train/test sets, so a candidate
+      // holds one phase's features at a time.
+      const FeatureMatrix fit_features = compute_features(
+          reservoir, params, mask, fit_split, RepresentationKind::kDprr);
+      const FeatureMatrix val_features = compute_features(
+          reservoir, params, mask, val_split, RepresentationKind::kDprr);
+      if (!usable(fit_features) || !usable(val_features)) {
+        invalidate();
+        return out;
+      }
+      const RidgeSweep sweep = sweep_ridge(fit_features, val_features,
+                                           train.num_classes(), config.betas);
+      out.beta = sweep.best().beta;
+      out.validation_loss = sweep.best().selection_loss;
+    }
 
-    // Refit on the full training split with the chosen beta, then score test.
-    const FeatureMatrix train_features = compute_features(
-        reservoir, params, mask, train, RepresentationKind::kDprr);
+    // Refit on the full training split with the chosen beta, then score test;
+    // the training features are freed before the test features exist.
+    std::optional<OutputLayer> layer;
+    {
+      const FeatureMatrix train_features = compute_features(
+          reservoir, params, mask, train, RepresentationKind::kDprr);
+      if (!usable(train_features)) {
+        invalidate();
+        return out;
+      }
+      layer.emplace(fit_ridge(train_features, train.num_classes(), out.beta));
+    }
     const FeatureMatrix test_features = compute_features(
         reservoir, params, mask, test, RepresentationKind::kDprr);
-    if (!usable(train_features) || !usable(test_features)) {
+    if (!usable(test_features)) {
       invalidate();
       return out;
     }
-    const OutputLayer layer =
-        fit_ridge(train_features, train.num_classes(), out.beta);
-    out.test_accuracy = evaluate_accuracy(layer, test_features);
+    out.test_accuracy = evaluate_accuracy(*layer, test_features);
     out.valid = true;
   } catch (const CheckError&) {
     invalidate();  // numerically degenerate normal equations

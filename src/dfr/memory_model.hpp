@@ -13,6 +13,13 @@
 // These formulas reproduce the paper's Table 2 exactly for all 12 datasets
 // (verified in tests/test_memory_model.cpp against the published numbers and
 // against live buffer sizes of the implementation).
+//
+// The counts are state values. The truncated forward (StreamingForward,
+// backprop.hpp) keeps its (window+1) states in rows padded to
+// simd::padded_nodes(Nx) doubles for whole-vector kernels;
+// TruncatedForward::stored_state_values still counts (window+1)*Nx, and the
+// (window+1)*(padded_nodes(Nx) - Nx) pad lanes are listed separately by
+// StreamingForward::pad_values (Nx = 30: 60 state values, 4 pad lanes).
 
 #include <cstddef>
 

@@ -21,6 +21,14 @@ Matrix augment_bias(const Matrix& r) {
   return out;
 }
 
+/// The training features, after checking they pair up with the labels.
+const Matrix& checked_features(const FeatureMatrix& train) {
+  DFR_CHECK_MSG(train.features.rows() == train.labels.size() &&
+                    !train.labels.empty(),
+                "feature/label mismatch");
+  return train.features;
+}
+
 /// Split the augmented solution X ((p+1) x Ny) into (W: Ny x p, b: Ny).
 OutputLayer layer_from_augmented(const Matrix& x_aug) {
   const std::size_t p = x_aug.rows() - 1;
@@ -34,22 +42,63 @@ OutputLayer layer_from_augmented(const Matrix& x_aug) {
   return OutputLayer(std::move(w), std::move(b));
 }
 
-OutputLayer fit_primal(const Matrix& r_aug, const Matrix& targets, double beta) {
-  const Matrix gram = gram_at_a(r_aug, beta);      // (p+1) x (p+1)
-  const Matrix rhs = matmul_at_b(r_aug, targets);  // (p+1) x Ny
-  const Matrix x_aug = cholesky_solve_matrix(gram, rhs);
-  return layer_from_augmented(x_aug);
-}
+/// The ridge problem of one training set with every beta-independent part
+/// built once: the one-hot targets and the system matrix without its ridge
+/// term — the dual kernel R_aug R_aug^T when R_aug has fewer rows than
+/// columns, else the primal Gram R_aug^T R_aug and right-hand side R_aug^T D.
+/// solve(beta) adds beta to the diagonal of a copy, which rounds exactly like
+/// building the system with beta in it (the primal Gram takes a ridge term
+/// of 0.0 first, which leaves its diagonal of sums of squares unchanged).
+///
+/// The dual never materializes R_aug = [R, 1]: a kernel entry is the dot
+/// product over R's rows plus the bias product 1 * 1, added last exactly as
+/// the dot over the augmented rows adds it, and the bias row of
+/// R_aug^T alpha is alpha's column sums in row order. The problem borrows
+/// `train`, which must outlive it.
+class RidgeProblem {
+ public:
+  RidgeProblem(const FeatureMatrix& train, int num_classes)
+      : r_(checked_features(train)),
+        targets_(one_hot(train.labels, num_classes)),
+        dual_(r_.rows() < r_.cols() + 1) {
+    if (dual_) {
+      system_ = matmul_a_bt(r_, r_);
+      double* k = system_.data();
+      for (std::size_t i = 0; i < system_.size(); ++i) k[i] += 1.0;
+    } else {
+      const Matrix r_aug = augment_bias(r_);
+      system_ = gram_at_a(r_aug, 0.0);
+      rhs_ = matmul_at_b(r_aug, targets_);
+    }
+  }
 
-OutputLayer fit_dual(const Matrix& r_aug, const Matrix& targets, double beta) {
-  // K = R_aug R_aug^T + beta I  (N x N), alpha = K^{-1} D,
-  // W_aug^T = R_aug^T alpha.
-  Matrix kernel = matmul_a_bt(r_aug, r_aug);
-  for (std::size_t i = 0; i < kernel.rows(); ++i) kernel(i, i) += beta;
-  const Matrix alpha = cholesky_solve_matrix(kernel, targets);  // N x Ny
-  const Matrix x_aug = matmul_at_b(r_aug, alpha);               // (p+1) x Ny
-  return layer_from_augmented(x_aug);
-}
+  [[nodiscard]] OutputLayer solve(double beta) const {
+    DFR_CHECK_MSG(beta > 0.0, "ridge needs beta > 0");
+    Matrix system = system_;
+    for (std::size_t i = 0; i < system.rows(); ++i) system(i, i) += beta;
+    if (!dual_) {
+      // W_aug^T = (R^T R + beta I)^{-1} R^T D.
+      return layer_from_augmented(cholesky_solve_matrix(system, rhs_));
+    }
+    // alpha = (R R^T + beta I)^{-1} D, W_aug^T = R_aug^T alpha.
+    const Matrix alpha = cholesky_solve_matrix(system, targets_);  // N x Ny
+    const Matrix x = matmul_at_b(r_, alpha);                        // p x Ny
+    Matrix w(alpha.cols(), r_.cols());
+    Vector b(alpha.cols(), 0.0);
+    for (std::size_t c = 0; c < w.rows(); ++c) {
+      for (std::size_t f = 0; f < w.cols(); ++f) w(c, f) = x(f, c);
+      for (std::size_t n = 0; n < alpha.rows(); ++n) b[c] += alpha(n, c);
+    }
+    return OutputLayer(std::move(w), std::move(b));
+  }
+
+ private:
+  const Matrix& r_;
+  Matrix targets_;
+  bool dual_;
+  Matrix system_;
+  Matrix rhs_;  // primal only
+};
 
 }  // namespace
 
@@ -59,24 +108,17 @@ const std::vector<double>& paper_beta_grid() {
 }
 
 OutputLayer fit_ridge(const FeatureMatrix& train, int num_classes, double beta) {
-  DFR_CHECK_MSG(beta > 0.0, "ridge needs beta > 0");
-  DFR_CHECK_MSG(train.features.rows() == train.labels.size() &&
-                    !train.labels.empty(),
-                "feature/label mismatch");
-  const Matrix r_aug = augment_bias(train.features);
-  const Matrix targets = one_hot(train.labels, num_classes);
-  const bool use_dual = r_aug.rows() < r_aug.cols();
-  return use_dual ? fit_dual(r_aug, targets, beta)
-                  : fit_primal(r_aug, targets, beta);
+  return RidgeProblem(train, num_classes).solve(beta);
 }
 
 RidgeSweep sweep_ridge(const FeatureMatrix& train, const FeatureMatrix& selection,
                        int num_classes, const std::vector<double>& betas) {
   DFR_CHECK(!betas.empty());
+  const RidgeProblem problem(train, num_classes);
   RidgeSweep sweep;
   double best_loss = std::numeric_limits<double>::infinity();
   for (double beta : betas) {
-    RidgeCandidate candidate{beta, 0.0, fit_ridge(train, num_classes, beta)};
+    RidgeCandidate candidate{beta, 0.0, problem.solve(beta)};
     candidate.selection_loss = evaluate_loss(candidate.layer, selection);
     if (candidate.selection_loss < best_loss) {
       best_loss = candidate.selection_loss;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "dfr/features.hpp"
 #include "dfr/metrics.hpp"
@@ -57,6 +58,12 @@ TrainResult Trainer::fit(const Dataset& train) const {
   result.mask = mask;
   result.nonlinearity = f;
 
+  // The truncated forward's scratch (padded rings, accumulator) and its
+  // output buffers belong to this fit and are reused for every sample.
+  std::optional<StreamingForward> forward;
+  if (!full_bptt) forward.emplace(reservoir, mask, window);
+  TruncatedForward fwd;
+
   Timer sgd_timer;
   std::vector<std::size_t> order(train.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
@@ -76,22 +83,20 @@ TrainResult Trainer::fit(const Dataset& train) const {
       // the backprop engine keeps raw-sum semantics, so dL/d(sum) =
       // time_scale * dL/d(avg).
       const double time_scale = dprr_time_scale(sample.series.rows());
-      Vector dprr_features;
       ReservoirGradients res_grads;
       OutputLayer::Backward out_grads;
       if (full_bptt) {
-        FullForward fwd = run_forward_full(reservoir, params, mask, sample.series);
+        FullForward full = run_forward_full(reservoir, params, mask, sample.series);
         result.stored_state_values =
-            std::max(result.stored_state_values, fwd.stored_state_values());
-        scale(fwd.dprr, time_scale);
-        out_grads = output.backward(fwd.dprr, sample.label);
+            std::max(result.stored_state_values, full.stored_state_values());
+        scale(full.dprr, time_scale);
+        out_grads = output.backward(full.dprr, sample.label);
         scale(out_grads.dfeatures, time_scale);
-        res_grads = backprop_full(reservoir, params, fwd.states, fwd.j,
+        res_grads = backprop_full(reservoir, params, full.states, full.j,
                                   out_grads.dfeatures, config_.threads);
-        dprr_features = std::move(fwd.dprr);
+        fwd.dprr = std::move(full.dprr);
       } else {
-        TruncatedForward fwd =
-            run_forward_truncated(reservoir, params, mask, sample.series, window);
+        forward->run(params, sample.series, fwd);
         result.stored_state_values =
             std::max(result.stored_state_values, fwd.stored_state_values());
         scale(fwd.dprr, time_scale);
@@ -100,8 +105,8 @@ TrainResult Trainer::fit(const Dataset& train) const {
         res_grads = backprop_through_dprr(reservoir, params, fwd.tail_states,
                                           fwd.tail_j, out_grads.dfeatures,
                                           fwd.tail_j.rows(), config_.threads);
-        dprr_features = std::move(fwd.dprr);
       }
+      const Vector& dprr_features = fwd.dprr;
       loss_sum += out_grads.loss;
 
       double da = res_grads.da;
@@ -206,24 +211,29 @@ TrainResult Trainer::fit(const Dataset& train) const {
 
   // Phase 2: ridge refit of the output layer with beta selection.
   Timer ridge_timer;
-  Rng split_rng = rng.fork(0x5B1D);
-  auto [fit_split, val_split] =
-      train.stratified_split(1.0 - config_.validation_fraction, split_rng);
-  if (val_split.empty() || fit_split.empty()) {
-    fit_split = train;
-    val_split = train;  // degenerate fallback for tiny datasets
-  }
+  {
+    // Beta selection in its own scope: its splits, features and candidate
+    // layers are freed before the refit builds the full feature set, so the
+    // phase holds one feature set at a time.
+    Rng split_rng = rng.fork(0x5B1D);
+    auto [fit_split, val_split] =
+        train.stratified_split(1.0 - config_.validation_fraction, split_rng);
+    if (val_split.empty() || fit_split.empty()) {
+      fit_split = train;
+      val_split = train;  // degenerate fallback for tiny datasets
+    }
 
-  const FeatureMatrix fit_features =
-      compute_features(reservoir, params, mask, fit_split,
-                       RepresentationKind::kDprr, config_.threads);
-  const FeatureMatrix val_features =
-      compute_features(reservoir, params, mask, val_split,
-                       RepresentationKind::kDprr, config_.threads);
-  const RidgeSweep sweep =
-      sweep_ridge(fit_features, val_features, train.num_classes(), config_.betas);
-  result.chosen_beta = sweep.best().beta;
-  result.validation_loss = sweep.best().selection_loss;
+    const FeatureMatrix fit_features =
+        compute_features(reservoir, params, mask, fit_split,
+                         RepresentationKind::kDprr, config_.threads);
+    const FeatureMatrix val_features =
+        compute_features(reservoir, params, mask, val_split,
+                         RepresentationKind::kDprr, config_.threads);
+    const RidgeSweep sweep =
+        sweep_ridge(fit_features, val_features, train.num_classes(), config_.betas);
+    result.chosen_beta = sweep.best().beta;
+    result.validation_loss = sweep.best().selection_loss;
+  }
 
   const FeatureMatrix all_features =
       compute_features(reservoir, params, mask, train,

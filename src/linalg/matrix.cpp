@@ -5,6 +5,46 @@
 #include <sstream>
 
 namespace dfr {
+namespace {
+
+/// out[r] = dot(rows[r], x) for four rows of length n at once. Each row keeps
+/// dot()'s own order — start at 0.0, add one product per index ascending —
+/// so every result is bit-identical to dot(); the four independent chains
+/// only hide the add latency that a single chain serializes on.
+void dot4(const double* x, const double* const rows[4], std::size_t n,
+          double out[4]) {
+  double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+  for (std::size_t k = 0; k < n; ++k) {
+    const double xk = x[k];
+    s0 += rows[0][k] * xk;
+    s1 += rows[1][k] * xk;
+    s2 += rows[2][k] * xk;
+    s3 += rows[3][k] * xk;
+  }
+  out[0] = s0;
+  out[1] = s1;
+  out[2] = s2;
+  out[3] = s3;
+}
+
+/// out[r] = dot(row r of the row-major `rows` matrix (stride n), x) for r in
+/// [0, count), four rows in flight. A last partial block repeats its final
+/// row in the unused slots and drops their results, so every row runs in a
+/// block of four.
+void rows_dot(const double* rows, std::size_t n, std::size_t count,
+              const double* x, double* out) {
+  for (std::size_t r = 0; r < count; r += 4) {
+    const double* block[4];
+    for (std::size_t q = 0; q < 4; ++q) {
+      block[q] = rows + std::min(r + q, count - 1) * n;
+    }
+    double sums[4];
+    dot4(x, block, n, sums);
+    std::copy_n(sums, std::min<std::size_t>(4, count - r), out + r);
+  }
+}
+
+}  // namespace
 
 Matrix::Matrix(std::initializer_list<std::initializer_list<double>> init) {
   rows_ = init.size();
@@ -151,10 +191,23 @@ Matrix matmul_at_b(const Matrix& a, const Matrix& b) {
 Matrix matmul_a_bt(const Matrix& a, const Matrix& b) {
   DFR_CHECK_MSG(a.cols() == b.cols(), "matmul_a_bt shape mismatch");
   Matrix c(a.rows(), b.rows());
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    for (std::size_t j = 0; j < b.rows(); ++j) {
-      c(i, j) = dot(a.row(i), b.row(j));
+  double* cd = c.data();
+  if (&a == &b) {
+    // A A^T is symmetric, and dot(x, y) == dot(y, x) bit for bit (each
+    // product commutes, the summation order is the index order either way):
+    // compute the lower triangle and mirror it.
+    const std::size_t n = a.rows();
+    for (std::size_t i = 0; i < n; ++i) {
+      rows_dot(a.data(), a.cols(), i + 1, a.data() + i * a.cols(), cd + i * n);
     }
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = i + 1; j < n; ++j) cd[i * n + j] = cd[j * n + i];
+    }
+    return c;
+  }
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    rows_dot(b.data(), b.cols(), b.rows(), a.data() + i * a.cols(),
+             cd + i * b.rows());
   }
   return c;
 }
@@ -168,7 +221,9 @@ Vector matvec(const Matrix& a, std::span<const double> x) {
 void matvec_into(const Matrix& a, std::span<const double> x, std::span<double> y) {
   DFR_CHECK_MSG(a.cols() == x.size(), "matvec shape mismatch");
   DFR_CHECK_MSG(a.rows() == y.size(), "matvec output length mismatch");
-  for (std::size_t i = 0; i < a.rows(); ++i) y[i] = dot(a.row(i), x);
+  // Four rows in flight, each in dot()'s order: bit-identical to
+  // y[i] = dot(a.row(i), x).
+  rows_dot(a.data(), a.cols(), a.rows(), x.data(), y.data());
 }
 
 Vector matvec_t(const Matrix& a, std::span<const double> x) {

@@ -23,20 +23,6 @@ const QuantizedDfr& checked_deref(
   return *model;
 }
 
-/// The single-series SIMD mask operand: M transposed to channels x
-/// padded_nodes(Nx), zero in the pad columns, so one row of it spans every
-/// node of one input channel.
-simd::AlignedVector transposed_padded_mask(const Mask& mask) {
-  const std::size_t stride = simd::padded_nodes(mask.nodes());
-  simd::AlignedVector t(mask.channels() * stride, 0.0);
-  for (std::size_t n = 0; n < mask.nodes(); ++n) {
-    for (std::size_t v = 0; v < mask.channels(); ++v) {
-      t[v * stride + n] = mask.weights()(n, v);
-    }
-  }
-  return t;
-}
-
 /// j = M u over the padded layout: the 1-row product u^T M^T through the
 /// batched mask kernel, nodes across the vector lanes. Per node it starts at
 /// 0.0 and adds u_v * M(n, v) in ascending v without FMA — dot()'s order,
@@ -129,8 +115,11 @@ void QuantizedDatapath::finalize(Vector& r, std::size_t t_len) const {
 
 SimdFloatDatapath::SimdFloatDatapath(const Mask& mask, const DfrParams& params,
                                      Nonlinearity f, simd::Backend backend)
-    : mask_(&mask), mask_t_(transposed_padded_mask(mask)), params_(params),
-      f_(f), kernels_(&simd::kernels_for(backend)) {
+    : mask_(&mask),
+      mask_t_(simd::transposed_padded_mask(mask)),
+      params_(params),
+      f_(f),
+      kernels_(&simd::kernels_for(backend)) {
   DFR_CHECK_MSG(mask.nodes() > 0, "reservoir needs at least one virtual node");
 }
 
@@ -141,7 +130,7 @@ SimdFloatDatapath::SimdFloatDatapath(ModelArtifactPtr model,
                                      simd::Backend backend)
     : artifact_(checked_artifact(std::move(model))),
       mask_(&artifact_->mask),
-      mask_t_(transposed_padded_mask(artifact_->mask)),
+      mask_t_(simd::transposed_padded_mask(artifact_->mask)),
       params_(artifact_->params),
       f_(artifact_->nonlinearity),
       kernels_(&simd::kernels_for(backend)),
@@ -202,7 +191,7 @@ SimdQuantizedDatapath::SimdQuantizedDatapath(const QuantizedDfr& model)
 SimdQuantizedDatapath::SimdQuantizedDatapath(const QuantizedDfr& model,
                                              simd::Backend backend)
     : mask_(&model.model().mask),
-      mask_t_(transposed_padded_mask(model.model().mask)),
+      mask_t_(simd::transposed_padded_mask(model.model().mask)),
       params_(model.model().params),
       f_(model.model().nonlinearity),
       state_format_(model.config().state_format),

@@ -17,7 +17,8 @@
 //
 // What varies between deployments is captured by a Datapath policy:
 // FloatDatapath executes the exact double-precision arithmetic of the
-// trained model; QuantizedDatapath executes the calibrated fixed-point
+// trained model as plain scalar code — the float oracle the SIMD datapaths
+// are held to; QuantizedDatapath executes the calibrated fixed-point
 // arithmetic of quantized_dfr.hpp — both bit-identical to the per-series
 // paths they replaced. SimdFloatDatapath runs the same float pipeline
 // through runtime-dispatched vector kernels (serve/simd_kernels.hpp): the
@@ -43,8 +44,14 @@
 // for as long as the engine exists — the multi-model registry can hot-swap
 // or evict an artifact while engines built on the old one keep serving it
 // safely. Constructing from a LoadedModel snapshots it into a fresh
-// artifact. Only the features-only constructors (batch feature extraction,
-// where the trainer owns the weights) still borrow.
+// artifact. Only the features-only constructors (LoadedModel::infer and
+// the equivalence tests, where the caller owns the weights) still borrow.
+//
+// Training does not run through these engines. The trainer's truncated
+// forward and the batch feature extractor (compute_features) share
+// StreamingForward (dfr/backprop.hpp): the same padded layout and kernel
+// table as SimdFloatDatapath, but with the exact (no-FMA) DPRR accumulate,
+// so its features are bit-identical to FloatDatapath on every backend.
 //
 // Threading: one engine serves one stream; engines share the immutable model
 // and are cheap to create, so batch serving makes one engine per worker.
@@ -87,8 +94,7 @@ concept InferenceDatapath =
 /// constructor borrows, and the mask must outlive the datapath.
 class FloatDatapath {
  public:
-  /// Features-only pipeline (no readout): batch feature extraction. Borrows
-  /// `mask`.
+  /// Features-only pipeline (no readout). Borrows `mask`.
   FloatDatapath(const Mask& mask, const DfrParams& params, Nonlinearity f);
 
   /// Full inference pipeline sharing ownership of `model`.

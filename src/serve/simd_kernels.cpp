@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 
+#include "dfr/mask.hpp"
 #include "util/check.hpp"
 #include "util/log.hpp"
 
@@ -144,6 +145,17 @@ bool cpu_supports_avx512() noexcept {
 }
 
 }  // namespace
+
+AlignedVector transposed_padded_mask(const Mask& mask) {
+  const std::size_t stride = padded_nodes(mask.nodes());
+  AlignedVector t(mask.channels() * stride, 0.0);
+  for (std::size_t n = 0; n < mask.nodes(); ++n) {
+    for (std::size_t v = 0; v < mask.channels(); ++v) {
+      t[v * stride + n] = mask.weights()(n, v);
+    }
+  }
+  return t;
+}
 
 // ---- dispatch --------------------------------------------------------------
 

@@ -77,6 +77,16 @@
 //   equivalence across formats, nonlinearities, sizes, and backends. (On
 //   aarch64 the scalar reference TU itself may FMA-contract the B-chain;
 //   x86-64 baseline code cannot, so the strict contract is asserted there.)
+//
+// Training (StreamingForward, dfr/backprop.hpp) — EXACT contract:
+//   The backprop trainer's truncated forward and the batch feature extractor
+//   run the float stages over the padded layout — batched_mask,
+//   preadd_nonlin, the scalar B-chain — but accumulate with dprr_add_exact
+//   instead of the FMA dprr_add. Every stage then performs the scalar
+//   pipeline's operations in its order, so the DPRR features, tail states
+//   and everything trained from them are bit-identical on every backend
+//   (asserted EXPECT_EQ-strict by test_backprop.cpp and test_trainer.cpp,
+//   with the same aarch64 caveat).
 
 #include <cstddef>
 #include <new>
@@ -85,6 +95,10 @@
 
 #include "dfr/nonlinearity.hpp"
 #include "fixedpoint/fixed.hpp"
+
+namespace dfr {
+class Mask;
+}  // namespace dfr
 
 namespace dfr::simd {
 
@@ -139,6 +153,13 @@ struct RowAllocator {
 
 /// A row-aligned double buffer of the padded layout.
 using AlignedVector = std::vector<double, RowAllocator<double>>;
+
+/// The single-series mask operand of the padded layout: the Nx x V mask
+/// transposed to V x padded_nodes(Nx), zero in the pad columns, so one row
+/// spans every node of one input channel.
+/// batched_mask(u, 1, V, operand, j, padded_nodes(Nx)) then computes j = M u
+/// with the nodes across the vector lanes (see BatchedMaskFn).
+[[nodiscard]] AlignedVector transposed_padded_mask(const Mask& mask);
 
 /// Size of a padded DPRR accumulator: nx cross-product rows plus one
 /// node-sum row, each padded_nodes(nx) wide.
@@ -248,10 +269,14 @@ using BatchedMaskFn = void (*)(const double* weights, std::size_t nx,
 
 /// One backend's kernel set. Pointers are non-null and valid for the process
 /// lifetime. `dprr_add` is the float-family accumulate (explicit FMA, single
-/// rounding, ULP-bounded); `dprr_add_exact` is the quantized-family twin
-/// that rounds twice per accumulate exactly like DprrAccumulator::add and is
-/// therefore bit-identical to it. The batched_* members follow the same
-/// float/exact split over the SoA layout documented above.
+/// rounding, ULP-bounded); `dprr_add_exact` rounds twice per accumulate
+/// exactly like DprrAccumulator::add and is therefore bit-identical to it.
+/// Two pipelines run on the exact kernel: the quantized family, and the
+/// training forward (StreamingForward in dfr/backprop.hpp), which chains
+/// batched_mask, preadd_nonlin, a scalar B-chain and dprr_add_exact so that
+/// training results are bit-identical on every backend. The batched_*
+/// members follow the same float/exact split over the SoA layout documented
+/// above.
 struct Kernels {
   Backend backend;
   PreaddNonlinFn preadd_nonlin;

@@ -7,7 +7,10 @@
 // of the paper's Eqs. (33)-(36) and against full BPTT in the window=T limit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "dfr/backprop.hpp"
 #include "dfr/output.hpp"
@@ -283,6 +286,116 @@ TEST(TruncatedForwardPass, StoredStateValuesMatchMemoryClaim) {
   EXPECT_EQ(trunc.stored_state_values(), 2 * rig.nx);  // x(T-1), x(T)
   const FullForward full = run_forward_full(reservoir, params, rig.mask, rig.series);
   EXPECT_EQ(full.stored_state_values(), (rig.t_len + 1) * rig.nx);
+}
+
+std::vector<simd::Backend> available_backends() {
+  std::vector<simd::Backend> out;
+  for (simd::Backend b : {simd::Backend::kScalar, simd::Backend::kAvx2,
+                          simd::Backend::kNeon, simd::Backend::kAvx512}) {
+    if (simd::backend_available(b)) out.push_back(b);
+  }
+  return out;
+}
+
+TEST(TruncatedForwardPass, BitEqualToFullForwardOnEveryBackend) {
+  // The streaming forward runs the dispatched kernels over padded rows; its
+  // dprr, tail states and tail inputs must equal the scalar oracle bit for
+  // bit at every window, for row widths below, at and above a pad multiple.
+  for (std::size_t nx : {7u, 8u, 30u, 31u}) {
+    const TestRig rig(91 + nx, nx, /*t=*/11);
+    for (NonlinearityKind kind :
+         {NonlinearityKind::kIdentity, NonlinearityKind::kTanh,
+          NonlinearityKind::kCubic, NonlinearityKind::kSaturating}) {
+      const ModularReservoir reservoir(nx, Nonlinearity(kind));
+      const DfrParams params{0.35, 0.45};
+      const FullForward full =
+          run_forward_full(reservoir, params, rig.mask, rig.series);
+      for (simd::Backend backend : available_backends()) {
+        for (std::size_t w : {std::size_t{1}, std::size_t{2}, std::size_t{3},
+                              std::size_t{7}, rig.t_len, rig.t_len + 2}) {
+          StreamingForward forward(reservoir, rig.mask, w,
+                                   simd::kernels_for(backend));
+          TruncatedForward trunc;
+          forward.run(params, rig.series, trunc);
+          const std::string where = std::string(simd::backend_name(backend)) +
+                                    " nx=" + std::to_string(nx) + " " +
+                                    nonlinearity_name(kind) +
+                                    " w=" + std::to_string(w);
+          EXPECT_EQ(trunc.dprr, full.dprr) << where;
+          EXPECT_EQ(trunc.steps, rig.t_len) << where;
+          const std::size_t kept = std::min(w, rig.t_len);
+          ASSERT_EQ(trunc.tail_states.rows(), kept + 1) << where;
+          ASSERT_EQ(trunc.tail_j.rows(), kept) << where;
+          for (std::size_t i = 0; i <= kept; ++i) {
+            const auto got = trunc.tail_states.row(i);
+            const auto want = full.states.row(rig.t_len - kept + i);
+            EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin()))
+                << where << " state row " << i;
+          }
+          for (std::size_t i = 0; i < kept; ++i) {
+            const auto got = trunc.tail_j.row(i);
+            const auto want = full.j.row(rig.t_len - kept + i);
+            EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin()))
+                << where << " j row " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(TruncatedForwardPass, ReusedAcrossSeriesLengths) {
+  // One instance serves series longer and shorter than its window in any
+  // order: each pass resets the rings and the accumulator.
+  const std::size_t nx = 9;
+  const ModularReservoir reservoir(nx, Nonlinearity(NonlinearityKind::kTanh));
+  const DfrParams params{0.3, 0.4};
+  const TestRig shape(5, nx, 1);
+  StreamingForward forward(reservoir, shape.mask, 5);
+  TruncatedForward trunc;
+  Vector features(dprr_dim(nx));
+  for (std::size_t t_len : {12u, 3u, 1u, 5u, 9u}) {
+    Rng rng(t_len);
+    Matrix series(t_len, shape.channels);
+    for (std::size_t t = 0; t < t_len; ++t) {
+      for (std::size_t v = 0; v < shape.channels; ++v) series(t, v) = rng.normal();
+    }
+    const FullForward full =
+        run_forward_full(reservoir, params, shape.mask, series);
+    forward.run(params, series, trunc);
+    EXPECT_EQ(trunc.dprr, full.dprr) << "T=" << t_len;
+    const std::size_t kept = std::min<std::size_t>(5, t_len);
+    ASSERT_EQ(trunc.tail_states.rows(), kept + 1);
+    for (std::size_t i = 0; i <= kept; ++i) {
+      const auto got = trunc.tail_states.row(i);
+      const auto want = full.states.row(t_len - kept + i);
+      EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin()))
+          << "T=" << t_len << " row " << i;
+    }
+    // Memory notes: the tail counts state values only; the ring's pad lanes
+    // are listed apart.
+    EXPECT_EQ(trunc.stored_state_values(), (kept + 1) * nx);
+    EXPECT_EQ(forward.pad_values(), (kept + 1) * (simd::padded_nodes(nx) - nx));
+    // The feature form is the time-averaged dprr of the same pass.
+    forward.features_into(params, series, features);
+    Vector averaged = full.dprr;
+    scale(averaged, dprr_time_scale(t_len));
+    EXPECT_EQ(features, averaged) << "T=" << t_len;
+  }
+}
+
+TEST(TruncatedForwardPass, RejectsMismatchedShapes) {
+  const TestRig rig(19);
+  const ModularReservoir reservoir(rig.nx, Nonlinearity{});
+  StreamingForward forward(reservoir, rig.mask, 1);
+  TruncatedForward out;
+  const Matrix wrong_channels(4, rig.channels + 1);
+  EXPECT_THROW(forward.run(DfrParams{}, wrong_channels, out), CheckError);
+  const Matrix empty(0, rig.channels);
+  EXPECT_THROW(forward.run(DfrParams{}, empty, out), CheckError);
+  EXPECT_THROW(StreamingForward(reservoir, rig.mask, 0), CheckError);
+  const ModularReservoir wider(rig.nx + 1, Nonlinearity{});
+  EXPECT_THROW(StreamingForward(wider, rig.mask, 1), CheckError);
 }
 
 TEST(Backprop, WindowOutOfRangeThrows) {

@@ -245,6 +245,50 @@ TEST(Matrix, MatvecIntoMatchesMatvec) {
   EXPECT_THROW(matvec_into(a, x, wrong_len), CheckError);
 }
 
+Matrix random_matrix(std::size_t rows, std::size_t cols, Rng& rng) {
+  Matrix m(rows, cols);
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t j = 0; j < cols; ++j) m(i, j) = rng.normal();
+  }
+  return m;
+}
+
+TEST(Matrix, BlockedMatvecIsBitEqualToDotPerRow) {
+  // Four rows run in flight; the 1-9 row sweep covers whole blocks, every
+  // remainder, and a block plus remainder.
+  Rng rng(41);
+  for (std::size_t rows = 1; rows <= 9; ++rows) {
+    for (std::size_t cols : {1u, 7u, 931u}) {
+      const Matrix a = random_matrix(rows, cols, rng);
+      Vector x(cols);
+      for (double& v : x) v = rng.normal();
+      Vector y(rows, -1.0);
+      matvec_into(a, x, y);
+      for (std::size_t i = 0; i < rows; ++i) {
+        EXPECT_EQ(y[i], dot(a.row(i), x)) << rows << "x" << cols << " row " << i;
+      }
+    }
+  }
+}
+
+TEST(Matrix, SymmetricAbtIsBitEqualToTheGeneralProduct) {
+  // matmul_a_bt(a, a) computes the lower triangle and mirrors it; a separate
+  // copy of `a` takes the general path over every (i, j).
+  Rng rng(43);
+  for (std::size_t rows : {1u, 3u, 4u, 5u, 9u, 48u}) {
+    const Matrix a = random_matrix(rows, 37, rng);
+    const Matrix copy = a;
+    const Matrix sym = matmul_a_bt(a, a);
+    const Matrix general = matmul_a_bt(a, copy);
+    EXPECT_EQ(sym, general) << rows << " rows";
+    for (std::size_t i = 0; i < rows; ++i) {
+      for (std::size_t j = 0; j < rows; ++j) {
+        EXPECT_EQ(general(i, j), dot(a.row(i), copy.row(j)));
+      }
+    }
+  }
+}
+
 TEST(Stats, RunningStatsMatchesBatch) {
   Rng rng(5);
   Vector v(100);

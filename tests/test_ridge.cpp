@@ -6,6 +6,7 @@
 #include "dfr/metrics.hpp"
 #include "dfr/output.hpp"
 #include "dfr/ridge.hpp"
+#include "linalg/cholesky.hpp"
 #include "util/rng.hpp"
 
 namespace dfr {
@@ -145,6 +146,63 @@ TEST(Ridge, SweepPicksSmallestSelectionLoss) {
     EXPECT_GE(c.selection_loss, sweep.best().selection_loss);
   }
   EXPECT_EQ(sweep.best().beta, sweep.candidates[sweep.best_index].beta);
+}
+
+/// The ridge fit written out for one beta, the way fit_ridge built it
+/// before the sweep shared its beta-independent work: R_aug and the system
+/// matrix with beta already in it, the dual kernel from two separate
+/// operands.
+OutputLayer reference_fit(const FeatureMatrix& fm, int classes, double beta) {
+  const std::size_t n = fm.features.rows(), p = fm.features.cols();
+  Matrix r_aug(n, p + 1);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto row = fm.features.row(i);
+    std::copy(row.begin(), row.end(), r_aug.row(i).begin());
+    r_aug(i, p) = 1.0;
+  }
+  const Matrix targets = one_hot(fm.labels, classes);
+  Matrix x_aug;
+  if (n < p + 1) {
+    const Matrix r_copy = r_aug;
+    Matrix kernel = matmul_a_bt(r_aug, r_copy);
+    for (std::size_t i = 0; i < n; ++i) kernel(i, i) += beta;
+    x_aug = matmul_at_b(r_aug, cholesky_solve_matrix(kernel, targets));
+  } else {
+    x_aug = cholesky_solve_matrix(gram_at_a(r_aug, beta),
+                                  matmul_at_b(r_aug, targets));
+  }
+  Matrix w(static_cast<std::size_t>(classes), p);
+  Vector b(static_cast<std::size_t>(classes));
+  for (std::size_t c = 0; c < w.rows(); ++c) {
+    for (std::size_t f = 0; f < p; ++f) w(c, f) = x_aug(f, c);
+    b[c] = x_aug(p, c);
+  }
+  return OutputLayer(std::move(w), std::move(b));
+}
+
+TEST(Ridge, SweepCandidatesAreBitEqualToOneFitPerBeta) {
+  // The sweep builds R_aug and the dual kernel (or primal Gram) once and adds
+  // each beta to a copy; every candidate must equal a from-scratch fit.
+  const FeatureMatrix tall = make_separable(50, 3, 8, 0.3, 5);  // primal
+  const FeatureMatrix wide = make_separable(4, 3, 40, 0.3, 7);  // dual
+  const FeatureMatrix val = make_separable(5, 3, 8, 0.3, 9);
+  const FeatureMatrix val_wide = make_separable(5, 3, 40, 0.3, 11);
+  const std::vector<double> betas = {1e-6, 1e-4, 1e-2, 1.0, 3.5};
+  for (const auto& [fm, sel] : {std::pair{tall, val}, std::pair{wide, val_wide}}) {
+    const RidgeSweep sweep = sweep_ridge(fm, sel, 3, betas);
+    ASSERT_EQ(sweep.candidates.size(), betas.size());
+    for (std::size_t k = 0; k < betas.size(); ++k) {
+      const RidgeCandidate& c = sweep.candidates[k];
+      const OutputLayer single = fit_ridge(fm, 3, betas[k]);
+      const OutputLayer reference = reference_fit(fm, 3, betas[k]);
+      EXPECT_EQ(c.beta, betas[k]);
+      EXPECT_EQ(c.layer.weights(), single.weights()) << "beta " << betas[k];
+      EXPECT_EQ(c.layer.bias(), single.bias()) << "beta " << betas[k];
+      EXPECT_EQ(single.weights(), reference.weights()) << "beta " << betas[k];
+      EXPECT_EQ(single.bias(), reference.bias()) << "beta " << betas[k];
+      EXPECT_EQ(c.selection_loss, evaluate_loss(single, sel));
+    }
+  }
 }
 
 TEST(Ridge, RejectsNonPositiveBeta) {

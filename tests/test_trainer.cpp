@@ -2,12 +2,17 @@
 // the grid-search baseline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "data/preprocess.hpp"
 #include "data/synth.hpp"
 #include "dfr/grid_search.hpp"
 #include "dfr/trainer.hpp"
+#include "serve/engine.hpp"
+#include "util/rng.hpp"
 
 namespace dfr {
 namespace {
@@ -180,6 +185,141 @@ GridSearchConfig small_grid_config() {
   GridSearchConfig config;
   config.nodes = 12;
   return config;
+}
+
+// ---- bit-identity across SIMD backends -------------------------------------
+//
+// Training runs its truncated forward and its feature extraction on the
+// dispatched kernel table with the exact (no-FMA) DPRR accumulate, so every
+// result must be EXPECT_EQ-identical on every backend the host runs.
+
+std::vector<simd::Backend> available_backends() {
+  std::vector<simd::Backend> out;
+  for (simd::Backend b : {simd::Backend::kScalar, simd::Backend::kAvx2,
+                          simd::Backend::kNeon, simd::Backend::kAvx512}) {
+    if (simd::backend_available(b)) out.push_back(b);
+  }
+  return out;
+}
+
+/// Restores the active backend on scope exit.
+class ScopedBackend {
+ public:
+  ScopedBackend() : saved_(simd::active_backend()) {}
+  ~ScopedBackend() { simd::force_backend(saved_); }
+  ScopedBackend(const ScopedBackend&) = delete;
+  ScopedBackend& operator=(const ScopedBackend&) = delete;
+
+ private:
+  simd::Backend saved_;
+};
+
+void expect_same_model(const TrainResult& want, const TrainResult& got,
+                       const std::string& where) {
+  EXPECT_EQ(want.params.a, got.params.a) << where;
+  EXPECT_EQ(want.params.b, got.params.b) << where;
+  EXPECT_EQ(want.chosen_beta, got.chosen_beta) << where;
+  EXPECT_EQ(want.validation_loss, got.validation_loss) << where;
+  EXPECT_EQ(want.readout.weights(), got.readout.weights()) << where;
+  EXPECT_EQ(want.readout.bias(), got.readout.bias()) << where;
+  EXPECT_EQ(want.skipped_updates, got.skipped_updates) << where;
+  EXPECT_EQ(want.stored_state_values, got.stored_state_values) << where;
+  ASSERT_EQ(want.history.size(), got.history.size()) << where;
+  for (std::size_t e = 0; e < want.history.size(); ++e) {
+    EXPECT_EQ(want.history[e].mean_loss, got.history[e].mean_loss) << where;
+    EXPECT_EQ(want.history[e].a, got.history[e].a) << where;
+    EXPECT_EQ(want.history[e].b, got.history[e].b) << where;
+  }
+}
+
+TEST(TrainingAcrossBackends, FitAndMultistartAreBitIdentical) {
+  ScopedBackend guard;
+  const DatasetPair pair = easy_task(37);
+  for (std::size_t nodes : {12u, 30u}) {
+    TrainerConfig config = small_config();
+    config.nodes = nodes;
+    config.epochs = 8;
+    const Trainer trainer(config);
+    const std::vector<DfrParams> restarts = {{0.01, 0.01}, {0.3, 0.3}};
+    simd::force_backend(simd::Backend::kScalar);
+    const TrainResult fit = trainer.fit(pair.train);
+    const TrainResult multi = trainer.fit_multistart(pair.train, restarts);
+    for (simd::Backend backend : available_backends()) {
+      simd::force_backend(backend);
+      const std::string where = std::string(simd::backend_name(backend)) +
+                                " nx=" + std::to_string(nodes);
+      expect_same_model(fit, trainer.fit(pair.train), where + " fit");
+      expect_same_model(multi, trainer.fit_multistart(pair.train, restarts),
+                        where + " multistart");
+    }
+  }
+}
+
+TEST(TrainingAcrossBackends, WindowedFitIsBitIdentical) {
+  ScopedBackend guard;
+  const DatasetPair pair = easy_task(39);
+  TrainerConfig config = small_config();
+  config.truncation_window = 5;
+  config.epochs = 6;
+  const Trainer trainer(config);
+  simd::force_backend(simd::Backend::kScalar);
+  const TrainResult want = trainer.fit(pair.train);
+  for (simd::Backend backend : available_backends()) {
+    simd::force_backend(backend);
+    expect_same_model(want, trainer.fit(pair.train), simd::backend_name(backend));
+  }
+}
+
+TEST(TrainingAcrossBackends, GridLevelIsBitIdentical) {
+  ScopedBackend guard;
+  const DatasetPair pair = easy_task(41);
+  simd::force_backend(simd::Backend::kScalar);
+  const GridLevelResult want =
+      run_grid_level(small_grid_config(), pair.train, pair.test, 3);
+  for (simd::Backend backend : available_backends()) {
+    simd::force_backend(backend);
+    const GridLevelResult got =
+        run_grid_level(small_grid_config(), pair.train, pair.test, 3);
+    ASSERT_EQ(want.candidates.size(), got.candidates.size());
+    for (std::size_t i = 0; i < want.candidates.size(); ++i) {
+      const GridCandidate& w = want.candidates[i];
+      const GridCandidate& g = got.candidates[i];
+      EXPECT_EQ(w.valid, g.valid) << simd::backend_name(backend) << " " << i;
+      EXPECT_EQ(w.beta, g.beta) << simd::backend_name(backend) << " " << i;
+      EXPECT_EQ(w.validation_loss, g.validation_loss)
+          << simd::backend_name(backend) << " " << i;
+      EXPECT_EQ(w.test_accuracy, g.test_accuracy)
+          << simd::backend_name(backend) << " " << i;
+    }
+    EXPECT_EQ(want.best_index, got.best_index);
+    EXPECT_EQ(want.best_test_index, got.best_test_index);
+  }
+}
+
+TEST(TrainingAcrossBackends, FeaturesMatchTheScalarEngine) {
+  // compute_features used to drive the scalar FloatDatapath engine; the
+  // streaming forward must reproduce its rows exactly on every backend.
+  ScopedBackend guard;
+  const DatasetPair pair = easy_task(43);
+  Rng rng(5);
+  for (std::size_t nodes : {7u, 30u, 31u}) {
+    const Mask mask(nodes, pair.train.channels(), MaskKind::kBinary, rng);
+    const Nonlinearity f(NonlinearityKind::kMackeyGlass, 2.0);
+    const ModularReservoir reservoir(nodes, f);
+    const DfrParams params{0.4, 0.3};
+    InferenceEngine engine(FloatDatapath(mask, params, f));
+    for (simd::Backend backend : available_backends()) {
+      simd::force_backend(backend);
+      const FeatureMatrix fm = compute_features(
+          reservoir, params, mask, pair.train, RepresentationKind::kDprr, 2);
+      for (std::size_t i = 0; i < pair.train.size(); ++i) {
+        const auto want = engine.features(pair.train[i].series);
+        const auto got = fm.features.row(i);
+        EXPECT_TRUE(std::equal(want.begin(), want.end(), got.begin()))
+            << simd::backend_name(backend) << " nx=" << nodes << " row " << i;
+      }
+    }
+  }
 }
 
 TEST(GridSearch, GridPointsAreSectionMidpoints) {
