@@ -1,10 +1,13 @@
 // Serving bench: what the unified streaming inference engine
 // (serve/engine.hpp) delivers at deployment time — single-stream latency
 // percentiles (p50/p90/p99) and batch throughput across thread counts, for
-// the float, SIMD (runtime-dispatched; force with
-// DFR_SIMD=scalar|avx2|avx512|neon) and calibrated fixed-point datapaths
-// (quant-scalar vs the vectorized quant-<backend>, bit-identical by the
-// quantized SIMD contract) — plus the cross-request batched SoA engine rows
+// the two serving datapaths, simd-<backend> (float) and quant-<backend>
+// (calibrated fixed point), on the runtime-dispatched kernels (force with
+// DFR_SIMD=scalar|avx2|avx512|neon), against the scalar oracle engines they
+// are held to: `float` (FloatDatapath, ULP contract) and `quant-scalar`
+// (QuantizedDatapath, bit-identical by the quantized SIMD contract). The
+// oracle rows' batch throughput runs the same per-worker-engine fan-out as
+// classify_batch (for_each_with_engine) — plus the cross-request batched SoA engine rows
 // (batched-<backend> / batched-quant-<backend>: one BatchedEngine running
 // `--lanes` concurrent series per step, per-series latency = batch time /
 // lanes, speedup vs the single-series simd-<backend> serial loop) — plus
@@ -83,6 +86,20 @@ LoadedModel make_serving_model(const Dataset& data, std::size_t nodes,
   for (double& v : b) v = rng.uniform(-0.1, 0.1);
   model.readout = OutputLayer(std::move(w), std::move(b));
   return model;
+}
+
+/// Batch throughput path for an oracle engine: classify_batch's fan-out
+/// (one engine per worker chunk) over engines from `make_oracle`.
+template <typename MakeEngine>
+std::vector<int> oracle_classify_batch(std::span<const Matrix> batch,
+                                       unsigned threads,
+                                       const MakeEngine& make_oracle) {
+  std::vector<int> out(batch.size());
+  for_each_with_engine(batch.size(), threads, make_oracle,
+                       [&](auto& engine, std::size_t i) {
+                         out[i] = engine.classify(batch[i]);
+                       });
+  return out;
 }
 
 /// Batch of `size` series cycled from the test split.
@@ -346,6 +363,7 @@ int main(int argc, char** argv) {
     quantized_ptr->calibrate(data.train);
     const QuantizedDfr& quantized = *quantized_ptr;
     const std::vector<Matrix> batch = make_batch(data.test, batch_size);
+    const ModelArtifactPtr artifact = model.artifact();
 
     struct Datapath {
       std::string name;
@@ -354,31 +372,31 @@ int main(int argc, char** argv) {
     };
     std::vector<Datapath> datapaths;
     datapaths.push_back(
-        {"float", run_single_stream(make_engine(model), batch, repeats),
+        {"float", run_single_stream(make_engine(artifact), batch, repeats),
          [&](unsigned threads) {
-           return classify_batch(model, std::span<const Matrix>(batch), threads,
-                                 FloatEngineKind::kScalar);
+           return oracle_classify_batch(batch, threads,
+                                        [&] { return make_engine(artifact); });
          }});
     datapaths.push_back(
         {"simd-" + std::string(simd::backend_name(simd::active_backend())),
          run_single_stream(make_simd_engine(model), batch, repeats),
          [&](unsigned threads) {
-           return classify_batch(model, std::span<const Matrix>(batch), threads,
-                                 FloatEngineKind::kSimd);
+           return classify_batch(model, std::span<const Matrix>(batch),
+                                 threads);
          }});
     datapaths.push_back(
         {"quant-scalar",
          run_single_stream(make_engine(quantized), batch, repeats),
          [&](unsigned threads) {
-           return classify_batch(quantized, std::span<const Matrix>(batch),
-                                 threads, QuantizedEngineKind::kScalar);
+           return oracle_classify_batch(batch, threads,
+                                        [&] { return make_engine(quantized); });
          }});
     datapaths.push_back(
         {"quant-" + std::string(simd::backend_name(simd::active_backend())),
          run_single_stream(make_simd_engine(quantized), batch, repeats),
          [&](unsigned threads) {
            return classify_batch(quantized, std::span<const Matrix>(batch),
-                                 threads, QuantizedEngineKind::kSimd);
+                                 threads);
          }});
 
     for (const Datapath& dp : datapaths) {
@@ -479,12 +497,13 @@ int main(int argc, char** argv) {
             std::make_shared<const QuantizedDfr>(std::move(served_quant))));
       }
       struct TrafficKind {
-        const char* suffix;  // "" = float kAuto, "-quant" = quantized kAuto
+        const char* suffix;  // "" = float, "-quant" = quantized
         serve::RequestOptions options;
       };
       const TrafficKind traffic_kinds[] = {
           {"", serve::RequestOptions{}},
-          {"-quant", serve::RequestOptions{QuantizedEngineKind::kAuto}},
+          {"-quant",
+           serve::RequestOptions{.engine = serve::EngineVariant::kQuantized}},
       };
       for (std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
         const std::string marker = skip_marker(static_cast<unsigned>(workers));

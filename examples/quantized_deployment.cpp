@@ -72,9 +72,9 @@ int main(int argc, char** argv) {
   // 5. Sustained serving: a streaming engine reuses its scratch across calls
   // (zero steady-state allocations), and classify_batch fans a whole batch
   // over the thread pool with deterministic output order. make_simd_engine
-  // and classify_batch's default FloatEngineKind::kAuto both run the SIMD
-  // datapath on the best runtime-dispatched backend (DFR_SIMD overrides), so
-  // the per-series loop and the batch agree exactly.
+  // and classify_batch both run the one float serving datapath (SIMD, on the
+  // best runtime-dispatched backend; DFR_SIMD overrides), so the per-series
+  // loop and the batch agree exactly.
   SimdInferenceEngine engine = make_simd_engine(loaded);
   std::size_t agree = 0;
   for (const Sample& s : data.test.samples()) {
@@ -89,10 +89,11 @@ int main(int argc, char** argv) {
             << " correct; classify_batch agrees: "
             << (batch_agree == agree ? "yes" : "NO") << '\n';
 
-  // 6. Quantized serving on the SIMD datapath. Unlike the float family's
-  // ULP contract, the quantized SIMD kernels are bit-identical to the
-  // scalar fixed-point pipeline on every backend, so QuantizedEngineKind
-  // is purely a latency knob — verify the contract on the whole split.
+  // 6. Quantized serving on the SIMD datapath, the one quantized serving
+  // datapath. Unlike the float family's ULP contract, the quantized SIMD
+  // kernels are bit-identical to the scalar fixed-point pipeline on every
+  // backend; make_engine(qdfr) builds that scalar oracle, so verify the
+  // contract against it on the whole split.
   QuantizedDfr qdfr(loaded, QuantizedInferenceConfig{});
   qdfr.calibrate(data.train);
   SimdQuantizedInferenceEngine quant_engine = make_simd_engine(qdfr);

@@ -14,6 +14,12 @@
 // then homogeneous; for saturating nonlinearities it is the usual
 // engineering approximation. All scales cancel in the argmax, so reported
 // accuracy reflects only quantization error, not scaling.
+//
+// Execution: classify(), features() and quantized_accuracy() run the one
+// quantized serving datapath, SimdQuantizedDatapath (serve/engine.hpp), on
+// the active kernel backend; DFR_SIMD=scalar or simd::force_backend selects
+// the portable kernels. Its results are bit-identical to the scalar
+// QuantizedDatapath, which the tests keep as the oracle.
 
 #include "dfr/model_io.hpp"
 #include "fixedpoint/fixed.hpp"
@@ -44,20 +50,15 @@ class QuantizedDfr {
   /// readout under the new scale.
   void calibrate(const Dataset& data, std::size_t max_samples = 8);
 
-  /// Classify one series with the quantized datapath. Convenience wrapper
+  /// Classify one series with the quantized datapath: the SIMD quantized
+  /// engine (serve/engine.hpp) on the active backend, bit-identical to the
+  /// scalar QuantizedDatapath oracle on every backend. Convenience wrapper
   /// that builds a fresh engine per call; sustained serving should hold an
-  /// engine (serve/engine.hpp) and reuse its scratch. `engine` selects the
-  /// implementation (default kAuto = SIMD best-available); every kind is
-  /// bit-identical — the quantized SIMD contract — so the knob trades
-  /// latency only.
-  [[nodiscard]] int classify(
-      const Matrix& series,
-      QuantizedEngineKind engine = QuantizedEngineKind::kAuto) const;
+  /// engine and reuse its scratch.
+  [[nodiscard]] int classify(const Matrix& series) const;
 
   /// Quantized, prescaled DPRR features for one series (for tests).
-  [[nodiscard]] Vector features(
-      const Matrix& series,
-      QuantizedEngineKind engine = QuantizedEngineKind::kAuto) const;
+  [[nodiscard]] Vector features(const Matrix& series) const;
 
   [[nodiscard]] const QuantizedInferenceConfig& config() const noexcept {
     return config_;
@@ -83,11 +84,9 @@ class QuantizedDfr {
 
 /// Accuracy of the quantized datapath over a dataset. `threads` caps the
 /// pool slots used for the batch (0 = all cores, 1 = serial); results are
-/// bit-identical for any value — and for any `engine` kind (the quantized
-/// SIMD contract).
+/// bit-identical for any value and on any backend (the quantized SIMD
+/// contract).
 double quantized_accuracy(const QuantizedDfr& dfr, const Dataset& dataset,
-                          unsigned threads = 1,
-                          QuantizedEngineKind engine =
-                              QuantizedEngineKind::kAuto);
+                          unsigned threads = 1);
 
 }  // namespace dfr

@@ -15,19 +15,21 @@
 // performs ZERO heap allocations in steady state (test_serve.cpp instruments
 // operator new to enforce this).
 //
-// What varies between deployments is captured by a Datapath policy:
-// FloatDatapath executes the exact double-precision arithmetic of the
-// trained model as plain scalar code — the float oracle the SIMD datapaths
-// are held to; QuantizedDatapath executes the calibrated fixed-point
-// arithmetic of quantized_dfr.hpp — both bit-identical to the per-series
-// paths they replaced. SimdFloatDatapath runs the same float pipeline
-// through runtime-dispatched vector kernels (serve/simd_kernels.hpp): the
-// mask, the preadd/nonlinearity and the Nx²-per-step DPRR row updates
-// vectorize, the serialized B-chain stays a scalar pass, and results match
-// FloatDatapath within the documented ULP contract. SimdQuantizedDatapath
-// does the same for the fixed-point pipeline — vectorized round-to-format on
-// the masked input, quantized preadd + nonlinearity, exact (no-FMA) DPRR row
-// updates, and fused scale+quantize feature finalization — with a STRICTER
+// What varies between deployments is captured by a Datapath policy, and
+// serving has exactly one per number format, both over the runtime-dispatched
+// kernel table of serve/simd_kernels.hpp (whose Backend::kScalar entry is the
+// portable path, picked by DFR_SIMD=scalar or simd::force_backend):
+//   - SimdFloatDatapath runs the double-precision pipeline of the trained
+//     model: the mask, the preadd/nonlinearity and the Nx²-per-step DPRR row
+//     updates vectorize, the serialized B-chain stays a scalar pass.
+//   - SimdQuantizedDatapath runs the calibrated fixed-point pipeline of
+//     quantized_dfr.hpp: vectorized round-to-format on the masked input,
+//     quantized preadd + nonlinearity, exact (no-FMA) DPRR row updates, and
+//     fused scale+quantize feature finalization.
+// FloatDatapath and QuantizedDatapath are the plain scalar oracles those two
+// are held to; no serving path builds them, only the equivalence tests and
+// bench_serving's reference rows do. SimdFloatDatapath matches FloatDatapath
+// within the documented ULP contract; SimdQuantizedDatapath has a STRICTER
 // contract: bit-identical to QuantizedDatapath on every backend (fixed-point
 // rounding is exact; see the quantized contract in simd_kernels.hpp).
 //
@@ -89,9 +91,10 @@ concept InferenceDatapath =
       { p.readout() } -> std::convertible_to<const OutputLayer*>;
     };
 
-/// Double-precision datapath over a trained model. The artifact constructors
-/// share ownership of the model (safe for any lifetime); the features-only
-/// constructor borrows, and the mask must outlive the datapath.
+/// Double-precision scalar datapath over a trained model: the float oracle
+/// of the equivalence tests (no serving path runs it). The artifact
+/// constructors share ownership of the model (safe for any lifetime); the
+/// features-only constructor borrows, and the mask must outlive the datapath.
 class FloatDatapath {
  public:
   /// Features-only pipeline (no readout). Borrows `mask`.
@@ -124,11 +127,12 @@ class FloatDatapath {
   const OutputLayer* readout_ = nullptr;
 };
 
-/// Calibrated fixed-point datapath: masked inputs and states quantized to the
-/// state format at every step, features prescaled and quantized to the
-/// feature format, readout already quantized by QuantizedDfr. The shared_ptr
-/// constructor shares ownership; the reference constructor borrows and the
-/// QuantizedDfr must outlive the datapath.
+/// Calibrated fixed-point scalar datapath, the quantized oracle of the
+/// equivalence tests (no serving path runs it): masked inputs and states
+/// quantized to the state format at every step, features prescaled and
+/// quantized to the feature format, readout already quantized by
+/// QuantizedDfr. The shared_ptr constructor shares ownership; the reference
+/// constructor borrows and the QuantizedDfr must outlive the datapath.
 class QuantizedDatapath {
  public:
   explicit QuantizedDatapath(const QuantizedDfr& model);
@@ -174,21 +178,15 @@ class SimdFloatDatapath {
   SimdFloatDatapath(const Mask& mask, const DfrParams& params, Nonlinearity f,
                     simd::Backend backend);
 
-  /// Full inference pipeline sharing ownership of `model`, on the active
-  /// backend (simd::active_backend(), i.e. best available unless DFR_SIMD /
-  /// force_backend overrode it).
-  explicit SimdFloatDatapath(ModelArtifactPtr model);
+  /// Full inference pipeline sharing ownership of `model`. The default
+  /// backend is the active one (simd::active_backend(), i.e. best available
+  /// unless DFR_SIMD / force_backend overrode it).
+  explicit SimdFloatDatapath(ModelArtifactPtr model,
+                             simd::Backend backend = simd::active_backend());
 
-  /// Full inference pipeline sharing ownership of `model`, on an explicit
-  /// backend.
-  SimdFloatDatapath(ModelArtifactPtr model, simd::Backend backend);
-
-  /// Full inference pipeline on the active backend (snapshots `model` into
-  /// an owned artifact).
-  explicit SimdFloatDatapath(const LoadedModel& model);
-
-  /// Full inference pipeline on an explicit backend (snapshots `model`).
-  SimdFloatDatapath(const LoadedModel& model, simd::Backend backend);
+  /// Full inference pipeline that snapshots `model` into an owned artifact.
+  explicit SimdFloatDatapath(const LoadedModel& model,
+                             simd::Backend backend = simd::active_backend());
 
   [[nodiscard]] std::size_t nodes() const noexcept { return mask_->nodes(); }
   [[nodiscard]] std::size_t channels() const noexcept { return mask_->channels(); }
@@ -236,19 +234,17 @@ class SimdFloatDatapath {
 /// QuantizedDfr must outlive the datapath.
 class SimdQuantizedDatapath {
  public:
-  /// Borrows `model`, on the active backend (simd::active_backend()).
-  explicit SimdQuantizedDatapath(const QuantizedDfr& model);
+  /// Borrows `model`. The default backend is the active one
+  /// (simd::active_backend()); an explicit one has kernels_for semantics
+  /// (throws CheckError when unavailable).
+  explicit SimdQuantizedDatapath(
+      const QuantizedDfr& model,
+      simd::Backend backend = simd::active_backend());
 
-  /// Borrows `model`, on an explicit backend (kernels_for semantics: throws
-  /// CheckError when unavailable).
-  SimdQuantizedDatapath(const QuantizedDfr& model, simd::Backend backend);
-
-  /// Shares ownership of `model`, on the active backend.
-  explicit SimdQuantizedDatapath(std::shared_ptr<const QuantizedDfr> model);
-
-  /// Shares ownership of `model`, on an explicit backend.
-  SimdQuantizedDatapath(std::shared_ptr<const QuantizedDfr> model,
-                        simd::Backend backend);
+  /// Shares ownership of `model`.
+  explicit SimdQuantizedDatapath(
+      std::shared_ptr<const QuantizedDfr> model,
+      simd::Backend backend = simd::active_backend());
 
   [[nodiscard]] std::size_t nodes() const noexcept { return mask_->nodes(); }
   [[nodiscard]] std::size_t channels() const noexcept { return mask_->channels(); }
@@ -289,11 +285,10 @@ class SimdQuantizedDatapath {
 /// ownership of the artifact.
 class BatchedFloatDatapath {
  public:
-  /// Active backend (simd::active_backend()).
-  explicit BatchedFloatDatapath(ModelArtifactPtr model);
-
-  /// Explicit backend (kernels_for semantics: throws when unavailable).
-  BatchedFloatDatapath(ModelArtifactPtr model, simd::Backend backend);
+  /// Default: the active backend (simd::active_backend()); an explicit one
+  /// has kernels_for semantics (throws when unavailable).
+  explicit BatchedFloatDatapath(ModelArtifactPtr model,
+                                simd::Backend backend = simd::active_backend());
 
   [[nodiscard]] std::size_t nodes() const noexcept { return mask_->nodes(); }
   [[nodiscard]] std::size_t channels() const noexcept { return mask_->channels(); }
@@ -340,12 +335,11 @@ class BatchedFloatDatapath {
 /// of the calibrated model.
 class BatchedQuantizedDatapath {
  public:
-  /// Active backend (simd::active_backend()).
-  explicit BatchedQuantizedDatapath(std::shared_ptr<const QuantizedDfr> model);
-
-  /// Explicit backend (kernels_for semantics: throws when unavailable).
-  BatchedQuantizedDatapath(std::shared_ptr<const QuantizedDfr> model,
-                           simd::Backend backend);
+  /// Default: the active backend (simd::active_backend()); an explicit one
+  /// has kernels_for semantics (throws when unavailable).
+  explicit BatchedQuantizedDatapath(
+      std::shared_ptr<const QuantizedDfr> model,
+      simd::Backend backend = simd::active_backend());
 
   [[nodiscard]] std::size_t nodes() const noexcept { return mask_->nodes(); }
   [[nodiscard]] std::size_t channels() const noexcept { return mask_->channels(); }
@@ -432,19 +426,15 @@ extern template class BatchedEngine<BatchedQuantizedDatapath>;
 
 /// Batched float engine sharing ownership of an immutable artifact, on the
 /// active backend (or an explicit one).
-[[nodiscard]] BatchedInferenceEngine make_batched_engine(ModelArtifactPtr model,
-                                                         std::size_t max_lanes);
-[[nodiscard]] BatchedInferenceEngine make_batched_engine(ModelArtifactPtr model,
-                                                         std::size_t max_lanes,
-                                                         simd::Backend backend);
+[[nodiscard]] BatchedInferenceEngine make_batched_engine(
+    ModelArtifactPtr model, std::size_t max_lanes,
+    simd::Backend backend = simd::active_backend());
 
 /// Batched quantized engine sharing ownership of a calibrated model.
 /// Bit-identical per-lane results to the scalar QuantizedDatapath.
 [[nodiscard]] BatchedQuantizedInferenceEngine make_batched_engine(
-    std::shared_ptr<const QuantizedDfr> model, std::size_t max_lanes);
-[[nodiscard]] BatchedQuantizedInferenceEngine make_batched_engine(
     std::shared_ptr<const QuantizedDfr> model, std::size_t max_lanes,
-    simd::Backend backend);
+    simd::Backend backend = simd::active_backend());
 
 /// The streaming engine: owns all scratch, classifies with zero steady-state
 /// heap allocations. One engine per stream/worker; not thread-safe.
@@ -498,6 +488,9 @@ extern template class BasicEngine<QuantizedDatapath>;
 extern template class BasicEngine<SimdFloatDatapath>;
 extern template class BasicEngine<SimdQuantizedDatapath>;
 
+/// Scalar oracle engines (FloatDatapath / QuantizedDatapath): the references
+/// of the equivalence tests and bench_serving; serving never builds them.
+///
 /// Engine over a loaded float model (snapshots the model into an owned
 /// artifact — safe for any model lifetime).
 [[nodiscard]] InferenceEngine make_engine(const LoadedModel& model);
@@ -512,35 +505,26 @@ extern template class BasicEngine<SimdQuantizedDatapath>;
 [[nodiscard]] QuantizedInferenceEngine make_engine(
     std::shared_ptr<const QuantizedDfr> model);
 
-/// SIMD engine over a loaded float model, on the active backend (snapshots
-/// the model into an owned artifact).
-[[nodiscard]] SimdInferenceEngine make_simd_engine(const LoadedModel& model);
+/// SIMD engine over a loaded float model (snapshots the model into an owned
+/// artifact). The default backend is the active one; an explicit backend
+/// throws CheckError when unavailable.
+[[nodiscard]] SimdInferenceEngine make_simd_engine(
+    const LoadedModel& model, simd::Backend backend = simd::active_backend());
 
-/// SIMD engine on an explicit backend (throws CheckError when unavailable).
-[[nodiscard]] SimdInferenceEngine make_simd_engine(const LoadedModel& model,
-                                                   simd::Backend backend);
+/// SIMD engine sharing ownership of an immutable artifact.
+[[nodiscard]] SimdInferenceEngine make_simd_engine(
+    ModelArtifactPtr model, simd::Backend backend = simd::active_backend());
 
-/// SIMD engines sharing ownership of an immutable artifact.
-[[nodiscard]] SimdInferenceEngine make_simd_engine(ModelArtifactPtr model);
-[[nodiscard]] SimdInferenceEngine make_simd_engine(ModelArtifactPtr model,
-                                                   simd::Backend backend);
-
-/// SIMD quantized engine over a calibrated model, on the active backend
-/// (model must outlive the engine). Bit-identical results to
-/// make_engine(model) — the quantized SIMD contract.
+/// SIMD quantized engine over a calibrated model (model must outlive the
+/// engine). Bit-identical results to make_engine(model) — the quantized SIMD
+/// contract.
 [[nodiscard]] SimdQuantizedInferenceEngine make_simd_engine(
-    const QuantizedDfr& model);
+    const QuantizedDfr& model, simd::Backend backend = simd::active_backend());
 
-/// SIMD quantized engine on an explicit backend (throws CheckError when
-/// unavailable).
+/// SIMD quantized engine sharing ownership of a calibrated model.
 [[nodiscard]] SimdQuantizedInferenceEngine make_simd_engine(
-    const QuantizedDfr& model, simd::Backend backend);
-
-/// SIMD quantized engines sharing ownership of a calibrated model.
-[[nodiscard]] SimdQuantizedInferenceEngine make_simd_engine(
-    std::shared_ptr<const QuantizedDfr> model);
-[[nodiscard]] SimdQuantizedInferenceEngine make_simd_engine(
-    std::shared_ptr<const QuantizedDfr> model, simd::Backend backend);
+    std::shared_ptr<const QuantizedDfr> model,
+    simd::Backend backend = simd::active_backend());
 
 /// Chunked per-worker-engine fan-out shared by classify_batch and the batch
 /// feature extractor: runs body(engine, i) once for every i in [0, n), with
@@ -566,37 +550,29 @@ void for_each_with_engine(std::size_t n, unsigned threads,
       {.threads = threads});
 }
 
-/// Classify a batch of series. Workers each own one engine and a contiguous
-/// chunk; out[i] depends only on series[i], so the result is bit-identical
-/// and identically ordered for any `threads` value (0 = all cores,
-/// 1 = serial — the util/parallel.hpp convention). `engine` selects the
-/// float datapath (default: best available, see FloatEngineKind). The
+/// Classify a batch of series on the SIMD datapath of the model's number
+/// format, with the active backend resolved once per call. Workers each own
+/// one engine and a contiguous chunk; out[i] depends only on series[i], so
+/// the result is bit-identical and identically ordered for any `threads`
+/// value (0 = all cores, 1 = serial — the util/parallel.hpp convention). The
 /// artifact overload shares one immutable model across all worker engines;
 /// the LoadedModel overloads snapshot the model once per call.
 std::vector<int> classify_batch(const ModelArtifactPtr& model,
                                 std::span<const Matrix> series,
-                                unsigned threads = 0,
-                                FloatEngineKind engine = FloatEngineKind::kAuto);
+                                unsigned threads = 0);
 std::vector<int> classify_batch(const LoadedModel& model,
                                 std::span<const Matrix> series,
-                                unsigned threads = 0,
-                                FloatEngineKind engine = FloatEngineKind::kAuto);
+                                unsigned threads = 0);
 std::vector<int> classify_batch(const QuantizedDfr& model,
                                 std::span<const Matrix> series,
-                                unsigned threads = 0,
-                                QuantizedEngineKind engine =
-                                    QuantizedEngineKind::kAuto);
+                                unsigned threads = 0);
 
 /// Dataset convenience overloads (classify every sample's series).
 std::vector<int> classify_batch(const ModelArtifactPtr& model,
-                                const Dataset& data, unsigned threads = 0,
-                                FloatEngineKind engine = FloatEngineKind::kAuto);
+                                const Dataset& data, unsigned threads = 0);
 std::vector<int> classify_batch(const LoadedModel& model, const Dataset& data,
-                                unsigned threads = 0,
-                                FloatEngineKind engine = FloatEngineKind::kAuto);
+                                unsigned threads = 0);
 std::vector<int> classify_batch(const QuantizedDfr& model, const Dataset& data,
-                                unsigned threads = 0,
-                                QuantizedEngineKind engine =
-                                    QuantizedEngineKind::kAuto);
+                                unsigned threads = 0);
 
 }  // namespace dfr

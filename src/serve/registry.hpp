@@ -11,7 +11,10 @@
 // the engine pool reclaim its cached engines promptly instead of waiting
 // for a same-name re-register.
 //
-// EnginePool caches one engine per (worker slot, artifact, engine variant).
+// EnginePool caches one engine per (worker slot, artifact, engine variant),
+// where the variant is the number format: every float engine runs
+// SimdFloatDatapath and every quantized engine SimdQuantizedDatapath, on the
+// active kernel backend (DFR_SIMD=scalar selects the portable kernels).
 // Engines are built lazily on first use and reused for every later request
 // with the same routing triple, so the steady-state serving path performs
 // no heap allocation per request (the engine's scratch is the only mutable
@@ -106,32 +109,26 @@ class ModelRegistry {
       listeners_;
 };
 
-/// Which datapath a pooled serving engine runs — the resolved form of the
-/// user-facing engine-kind knobs (kAuto already mapped to the SIMD variant
-/// of its family). Float variants serve the artifact's float weights;
-/// quantized variants serve its calibrated fixed-point twin
-/// (ModelArtifact::quantized, attached via with_quantized).
-enum class EngineVariant { kFloatScalar, kFloatSimd, kQuantScalar, kQuantSimd };
+/// Which number format a request is served in, and so which datapath runs
+/// it. kFloat serves the artifact's float weights on SimdFloatDatapath;
+/// kQuantized serves its calibrated fixed-point twin
+/// (ModelArtifact::quantized, attached via with_quantized) on
+/// SimdQuantizedDatapath.
+enum class EngineVariant : std::uint8_t { kFloat, kQuantized };
 
-[[nodiscard]] constexpr EngineVariant resolve_variant(
-    FloatEngineKind kind) noexcept {
-  return kind == FloatEngineKind::kScalar ? EngineVariant::kFloatScalar
-                                          : EngineVariant::kFloatSimd;
-}
-
-[[nodiscard]] constexpr EngineVariant resolve_variant(
-    QuantizedEngineKind kind) noexcept {
-  return kind == QuantizedEngineKind::kScalar ? EngineVariant::kQuantScalar
-                                              : EngineVariant::kQuantSimd;
-}
+/// The artifact's calibrated fixed-point twin, which kQuantized requests are
+/// served from. Throws CheckError when `artifact` is null or carries none
+/// (the server maps that to kInvalidArgument).
+[[nodiscard]] std::shared_ptr<const QuantizedDfr> quantized_twin(
+    const ModelArtifactPtr& artifact);
 
 /// One cached serving engine: an artifact reference plus the engine built on
-/// it. Quantized variants require the artifact to carry a quantized twin and
-/// throw CheckError otherwise (the server maps that to kInvalidArgument).
+/// it. The quantized variant requires the artifact to carry a quantized twin
+/// and throws CheckError otherwise (the server maps that to
+/// kInvalidArgument).
 class PooledEngine {
  public:
   PooledEngine(ModelArtifactPtr artifact, EngineVariant variant);
-  PooledEngine(ModelArtifactPtr artifact, FloatEngineKind kind);
 
   /// Logits for one series; the span aliases engine scratch. Zero heap
   /// allocations in steady state (the BasicEngine contract).
@@ -148,16 +145,13 @@ class PooledEngine {
  private:
   ModelArtifactPtr artifact_;
   EngineVariant variant_;
-  std::variant<InferenceEngine, SimdInferenceEngine, QuantizedInferenceEngine,
-               SimdQuantizedInferenceEngine>
-      engine_;
+  std::variant<SimdInferenceEngine, SimdQuantizedInferenceEngine> engine_;
 };
 
 /// One cached batched serving engine: an artifact reference plus the
-/// cross-request SoA engine built on it (serve/engine.hpp BatchedEngine).
-/// Scalar variants run the scalar kernel set; SIMD variants run the active
-/// backend. Quantized variants require the artifact to carry a quantized
-/// twin and throw CheckError otherwise (the server maps that to
+/// cross-request SoA engine built on it (serve/engine.hpp BatchedEngine), on
+/// the active backend. The quantized variant requires the artifact to carry
+/// a quantized twin and throws CheckError otherwise (the server maps that to
 /// kInvalidArgument for every coalesced lane).
 class PooledBatchedEngine {
  public:
@@ -212,8 +206,6 @@ class EnginePool {
   /// eviction reclaim or clear() invalidates it.
   PooledEngine& engine_for(std::size_t worker, const ModelArtifactPtr& artifact,
                            EngineVariant variant);
-  PooledEngine& engine_for(std::size_t worker, const ModelArtifactPtr& artifact,
-                           FloatEngineKind kind);
 
   /// The batched engine serving `artifact` on `worker` with `variant` and
   /// `max_lanes` lanes. Same caching, hot-swap-rebuild, and

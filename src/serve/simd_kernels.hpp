@@ -299,7 +299,7 @@ struct Kernels {
 /// Highest-throughput available backend on this CPU.
 [[nodiscard]] Backend best_backend() noexcept;
 
-/// The backend serving kAuto/kSimd engines: best_backend() unless overridden
+/// The backend every serving datapath runs: best_backend() unless overridden
 /// by the DFR_SIMD environment variable (read once at first use) or
 /// force_backend(). A DFR_SIMD value that is unrecognized (e.g. `avx999`)
 /// or unavailable on this host/build (e.g. `avx512` on a CPU without it)

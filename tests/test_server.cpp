@@ -1,8 +1,8 @@
 // Tests for the multi-model serving subsystem (serve/registry.hpp,
 // serve/server.hpp): registry register/get/evict/hot-swap semantics, engine
 // pool caching and swap detection, request routing correctness (bit-identical
-// logits vs direct single-threaded LoadedModel::infer for every engine kind
-// and worker count), hot-swap under concurrent traffic, backpressure,
+// logits vs direct single-threaded inference for both number formats and
+// every worker count), hot-swap under concurrent traffic, backpressure,
 // shutdown draining, per-model stats, and the zero-steady-state-allocation
 // guarantee of the submit path.
 #include <gtest/gtest.h>
@@ -46,6 +46,7 @@ namespace dfr {
 namespace {
 
 using serve::EnginePool;
+using serve::EngineVariant;
 using serve::InferenceServer;
 using serve::InferFuture;
 using serve::InferResult;
@@ -72,6 +73,14 @@ LoadedModel make_model(std::size_t nodes, std::size_t channels, int classes,
   for (double& v : b) v = rng.uniform(-0.1, 0.1);
   model.readout = OutputLayer(std::move(w), std::move(b));
   return model;
+}
+
+/// `model` as an artifact named `name` carrying a quantized twin (default
+/// formats, uncalibrated), so both engine variants serve it.
+ModelArtifactPtr twin_artifact(const LoadedModel& model, std::string name) {
+  return with_quantized(
+      model.artifact(std::move(name)),
+      std::make_shared<const QuantizedDfr>(model, QuantizedInferenceConfig{}));
 }
 
 /// Polls `done` until it holds or `timeout` passes; true when it held. For
@@ -154,26 +163,33 @@ TEST(ModelRegistry, RejectsAnonymousOrNullArtifacts) {
 // ---- EnginePool ------------------------------------------------------------
 
 TEST(EnginePoolTest, CachesPerArtifactAndKindAndRebuildsOnSwap) {
-  const ModelArtifactPtr v1 = make_model(10, 2, 3, 5).artifact("m");
-  const ModelArtifactPtr v2 = make_model(10, 2, 3, 6).artifact("m");
+  const ModelArtifactPtr v1 = twin_artifact(make_model(10, 2, 3, 5), "m");
+  const ModelArtifactPtr v2 = twin_artifact(make_model(10, 2, 3, 6), "m");
   EnginePool pool(2);
 
-  PooledEngine& simd = pool.engine_for(0, v1, FloatEngineKind::kAuto);
-  EXPECT_EQ(simd.artifact(), v1);
-  // kAuto resolves to the SIMD float variant.
-  EXPECT_EQ(simd.variant(), serve::EngineVariant::kFloatSimd);
-  // Cache hit: same entry for the same routing triple, kAuto == kSimd.
-  EXPECT_EQ(&pool.engine_for(0, v1, FloatEngineKind::kSimd), &simd);
-  // Distinct kind and distinct worker slot get distinct engines.
-  PooledEngine& scalar = pool.engine_for(0, v1, FloatEngineKind::kScalar);
-  EXPECT_NE(&scalar, &simd);
-  EXPECT_EQ(scalar.variant(), serve::EngineVariant::kFloatScalar);
-  EXPECT_NE(&pool.engine_for(1, v1, FloatEngineKind::kSimd), &simd);
+  PooledEngine& flt = pool.engine_for(0, v1, EngineVariant::kFloat);
+  EXPECT_EQ(flt.artifact(), v1);
+  EXPECT_EQ(flt.variant(), EngineVariant::kFloat);
+  // Cache hit: same entry for the same routing triple.
+  EXPECT_EQ(&pool.engine_for(0, v1, EngineVariant::kFloat), &flt);
+  // Distinct variant and distinct worker slot get distinct engines, and
+  // alternating the variants keeps both cached.
+  PooledEngine& quant = pool.engine_for(0, v1, EngineVariant::kQuantized);
+  EXPECT_NE(&quant, &flt);
+  EXPECT_EQ(quant.variant(), EngineVariant::kQuantized);
+  EXPECT_EQ(&pool.engine_for(0, v1, EngineVariant::kFloat), &flt);
+  EXPECT_EQ(&pool.engine_for(0, v1, EngineVariant::kQuantized), &quant);
+  EXPECT_NE(&pool.engine_for(1, v1, EngineVariant::kFloat), &flt);
 
-  // Hot-swap: same name, new artifact — rebuilt in place, same slot entry.
-  PooledEngine& swapped = pool.engine_for(0, v2, FloatEngineKind::kSimd);
-  EXPECT_EQ(&swapped, &simd);
+  // Hot-swap: same name, new artifact — rebuilt in place, same slot entry,
+  // for each variant.
+  PooledEngine& swapped = pool.engine_for(0, v2, EngineVariant::kFloat);
+  EXPECT_EQ(&swapped, &flt);
   EXPECT_EQ(swapped.artifact(), v2);
+  PooledEngine& swapped_quant =
+      pool.engine_for(0, v2, EngineVariant::kQuantized);
+  EXPECT_EQ(&swapped_quant, &quant);
+  EXPECT_EQ(swapped_quant.artifact(), v2);
 }
 
 TEST(EnginePoolTest, AnonymousArtifactsGetDistinctStableEngines) {
@@ -183,13 +199,13 @@ TEST(EnginePoolTest, AnonymousArtifactsGetDistinctStableEngines) {
   const ModelArtifactPtr anon1 = make_model(8, 2, 3, 21).artifact();
   const ModelArtifactPtr anon2 = make_model(8, 2, 3, 22).artifact();
   EnginePool pool(1);
-  PooledEngine& first = pool.engine_for(0, anon1, FloatEngineKind::kSimd);
-  PooledEngine& second = pool.engine_for(0, anon2, FloatEngineKind::kSimd);
+  PooledEngine& first = pool.engine_for(0, anon1, EngineVariant::kFloat);
+  PooledEngine& second = pool.engine_for(0, anon2, EngineVariant::kFloat);
   EXPECT_NE(&first, &second);
   EXPECT_EQ(first.artifact(), anon1);
   EXPECT_EQ(second.artifact(), anon2);
-  EXPECT_EQ(&pool.engine_for(0, anon1, FloatEngineKind::kSimd), &first);
-  EXPECT_EQ(&pool.engine_for(0, anon2, FloatEngineKind::kSimd), &second);
+  EXPECT_EQ(&pool.engine_for(0, anon1, EngineVariant::kFloat), &first);
+  EXPECT_EQ(&pool.engine_for(0, anon2, EngineVariant::kFloat), &second);
 }
 
 TEST(EnginePoolTest, EvictionReclaimsCachedEnginesDeferred) {
@@ -197,23 +213,24 @@ TEST(EnginePoolTest, EvictionReclaimsCachedEnginesDeferred) {
   std::weak_ptr<const ModelArtifact> watch;
   const ModelArtifactPtr other = make_model(8, 2, 3, 31).artifact("other");
   {
-    const ModelArtifactPtr evictee = make_model(8, 2, 3, 30).artifact("m");
+    const ModelArtifactPtr evictee =
+        twin_artifact(make_model(8, 2, 3, 30), "m");
     watch = evictee;
     // Build engines for the evictee on both worker slots (and one for a
     // second model, which must survive the reclaim).
-    pool.engine_for(0, evictee, FloatEngineKind::kSimd);
-    pool.engine_for(0, evictee, FloatEngineKind::kScalar);
-    pool.engine_for(1, evictee, FloatEngineKind::kSimd);
-    pool.engine_for(0, other, FloatEngineKind::kSimd);
+    pool.engine_for(0, evictee, EngineVariant::kFloat);
+    pool.engine_for(0, evictee, EngineVariant::kQuantized);
+    pool.engine_for(1, evictee, EngineVariant::kFloat);
+    pool.engine_for(0, other, EngineVariant::kFloat);
     pool.note_eviction("m");
   }  // registry-side reference gone; only cached engines pin the artifact
   EXPECT_FALSE(watch.expired()) << "engines should still pin the artifact";
 
   // Worker 0 reclaims at its next engine_for; worker 1 has not run yet.
-  PooledEngine& survivor = pool.engine_for(0, other, FloatEngineKind::kSimd);
+  PooledEngine& survivor = pool.engine_for(0, other, EngineVariant::kFloat);
   EXPECT_EQ(survivor.artifact(), other);
   EXPECT_FALSE(watch.expired()) << "worker 1 still caches the evictee";
-  pool.engine_for(1, other, FloatEngineKind::kSimd);
+  pool.engine_for(1, other, EngineVariant::kFloat);
   EXPECT_TRUE(watch.expired())
       << "eviction must reclaim cached engines once every worker caught up";
 }
@@ -226,9 +243,9 @@ TEST(EnginePoolTest, EvictedThenReRegisteredModelRebuildsCleanly) {
   const LoadedModel model = make_model(8, 2, 3, 33);
   const ModelArtifactPtr v1 = model.artifact("m");
   const ModelArtifactPtr v2 = model.artifact("m");
-  pool.engine_for(0, v1, FloatEngineKind::kSimd);
+  pool.engine_for(0, v1, EngineVariant::kFloat);
   pool.note_eviction("m");
-  PooledEngine& rebuilt = pool.engine_for(0, v2, FloatEngineKind::kSimd);
+  PooledEngine& rebuilt = pool.engine_for(0, v2, EngineVariant::kFloat);
   EXPECT_EQ(rebuilt.artifact(), v2);
   Rng rng(34);
   const Matrix series = random_series(20, 2, rng);
@@ -246,27 +263,21 @@ TEST(EnginePoolTest, QuantizedVariantsServeTheQuantizedTwin) {
   Rng rng(42);
   const Matrix series = random_series(25, 2, rng);
 
-  PooledEngine& quant_scalar =
-      pool.engine_for(0, artifact, serve::EngineVariant::kQuantScalar);
-  PooledEngine& quant_simd =
-      pool.engine_for(0, artifact, serve::EngineVariant::kQuantSimd);
-  EXPECT_NE(&quant_scalar, &quant_simd);
-  EXPECT_EQ(quant_scalar.variant(), serve::EngineVariant::kQuantScalar);
-  EXPECT_EQ(quant_simd.variant(), serve::EngineVariant::kQuantSimd);
-  // Both quantized variants agree bit-identically (the quantized SIMD
-  // exactness contract) and match the direct quantized engine.
+  PooledEngine& quant = pool.engine_for(0, artifact, EngineVariant::kQuantized);
+  EXPECT_NE(&quant, &pool.engine_for(0, artifact, EngineVariant::kFloat));
+  EXPECT_EQ(quant.variant(), EngineVariant::kQuantized);
+  // The quantized engine matches the scalar quantized oracle bit for bit
+  // (the quantized SIMD exactness contract).
   QuantizedInferenceEngine direct = make_engine(*quantized);
   const Vector expected(direct.infer(series).begin(),
                         direct.infer(series).end());
-  expect_bit_identical(expected, quant_scalar.infer(series), "quant-scalar");
-  expect_bit_identical(expected, quant_simd.infer(series), "quant-simd");
-  EXPECT_EQ(quant_scalar.classify(series), direct.classify(series));
+  expect_bit_identical(expected, quant.infer(series), "quantized");
+  EXPECT_EQ(quant.classify(series), direct.classify(series));
 
-  // A float-only artifact throws the typed error for quantized variants.
+  // A float-only artifact throws the typed error for the quantized variant.
   const ModelArtifactPtr bare = model.artifact("bare");
-  EXPECT_THROW(
-      (void)pool.engine_for(0, bare, serve::EngineVariant::kQuantSimd),
-      CheckError);
+  EXPECT_THROW((void)pool.engine_for(0, bare, EngineVariant::kQuantized),
+               CheckError);
 }
 
 TEST(EnginePoolTest, HotSwapDroppingTheQuantizedTwinReleasesTheStaleEngine) {
@@ -283,25 +294,23 @@ TEST(EnginePoolTest, HotSwapDroppingTheQuantizedTwinReleasesTheStaleEngine) {
         model.artifact("m"), std::make_shared<const QuantizedDfr>(
                                  model, QuantizedInferenceConfig{}));
     watch = with_twin;
-    pool.engine_for(0, with_twin, serve::EngineVariant::kQuantSimd);
+    pool.engine_for(0, with_twin, EngineVariant::kQuantized);
   }  // registry-side reference gone; only the cached engine pins v1
-  EXPECT_THROW(
-      (void)pool.engine_for(0, bare, serve::EngineVariant::kQuantSimd),
-      CheckError);
+  EXPECT_THROW((void)pool.engine_for(0, bare, EngineVariant::kQuantized),
+               CheckError);
   EXPECT_TRUE(watch.expired())
       << "failed hot-swap rebuild must release the stale engine";
   // The error is per-request, not sticky: float serving still works, and a
   // twin-carrying re-register serves quantized again.
   Rng rng(46);
   const Matrix series = random_series(20, 2, rng);
-  EXPECT_EQ(pool.engine_for(0, bare, serve::EngineVariant::kFloatSimd)
-                .classify(series),
+  EXPECT_EQ(pool.engine_for(0, bare, EngineVariant::kFloat).classify(series),
             model.classify(series));
   const ModelArtifactPtr restored = with_quantized(
       model.artifact("m"), std::make_shared<const QuantizedDfr>(
                                model, QuantizedInferenceConfig{}));
   PooledEngine& rebuilt =
-      pool.engine_for(0, restored, serve::EngineVariant::kQuantSimd);
+      pool.engine_for(0, restored, EngineVariant::kQuantized);
   EXPECT_EQ(rebuilt.artifact(), restored);
 }
 
@@ -325,14 +334,20 @@ TEST(WithQuantized, ValidatesShapeAndNullness) {
 
 TEST(EnginePoolTest, EngineMatchesDirectInference) {
   const LoadedModel model = make_model(10, 2, 3, 7);
-  const ModelArtifactPtr artifact = model.artifact("m");
+  const ModelArtifactPtr artifact = twin_artifact(model, "m");
   Rng rng(8);
   const Matrix series = random_series(30, 2, rng);
   EnginePool pool(1);
-  for (FloatEngineKind kind :
-       {FloatEngineKind::kScalar, FloatEngineKind::kSimd}) {
-    const Vector expected = model.infer(series, kind);
-    PooledEngine& engine = pool.engine_for(0, artifact, kind);
+  // Float: bit-identical to LoadedModel::infer (the same SIMD datapath).
+  // Quantized: bit-identical to the scalar quantized oracle.
+  const Vector float_expected = model.infer(series);
+  QuantizedInferenceEngine oracle = make_engine(*artifact->quantized);
+  const std::span<const double> oracle_logits = oracle.infer(series);
+  const Vector quant_expected(oracle_logits.begin(), oracle_logits.end());
+  for (const auto& [variant, expected] :
+       {std::pair{EngineVariant::kFloat, float_expected},
+        std::pair{EngineVariant::kQuantized, quant_expected}}) {
+    PooledEngine& engine = pool.engine_for(0, artifact, variant);
     expect_bit_identical(expected, engine.infer(series), "pooled engine");
     EXPECT_EQ(engine.classify(series),
               static_cast<int>(std::max_element(expected.begin(),
@@ -381,48 +396,57 @@ std::vector<Matrix>* ServerRouting::series_a_ = nullptr;
 std::vector<Matrix>* ServerRouting::series_b_ = nullptr;
 
 // Concurrent interleaved requests against two registered models return
-// bit-identical logits to direct single-threaded LoadedModel::infer() for
-// every engine kind, at 1 and 8 workers.
+// bit-identical logits to direct single-threaded inference for both engine
+// variants, at 1 and 8 workers: LoadedModel::infer() for float requests,
+// the scalar quantized oracle for quantized ones.
 TEST_F(ServerRouting, InterleavedRequestsBitIdenticalToDirectInfer) {
   ModelRegistry registry;
-  registry.register_model(model_a_->artifact("a"));
-  registry.register_model(model_b_->artifact("b"));
+  registry.register_model(twin_artifact(*model_a_, "a"));
+  registry.register_model(twin_artifact(*model_b_, "b"));
+  QuantizedInferenceEngine oracle_a = make_engine(registry.get("a")->quantized);
+  QuantizedInferenceEngine oracle_b = make_engine(registry.get("b")->quantized);
 
-  constexpr FloatEngineKind kKinds[] = {
-      FloatEngineKind::kAuto, FloatEngineKind::kScalar, FloatEngineKind::kSimd};
+  constexpr EngineVariant kVariants[] = {EngineVariant::kFloat,
+                                         EngineVariant::kQuantized};
 
   for (std::size_t workers : {std::size_t{1}, std::size_t{8}}) {
     InferenceServer server(registry,
                            {.workers = workers, .queue_capacity = 256});
-    // Interleave models, series, and engine kinds in one submission wave so
-    // concurrent workers route a mixed stream.
+    // Interleave models, series, and engine variants in one submission
+    // wave so concurrent workers route a mixed stream.
     struct Expected {
       const char* id;
       const Matrix* series;
-      FloatEngineKind kind;
+      EngineVariant variant;
     };
     std::vector<Expected> requests;
     std::vector<InferFuture> futures;
     for (int pass = 0; pass < 2; ++pass) {
       for (std::size_t i = 0; i < kSeriesPerModel; ++i) {
-        for (FloatEngineKind kind : kKinds) {
-          requests.push_back({"a", &(*series_a_)[i], kind});
-          requests.push_back({"b", &(*series_b_)[i], kind});
+        for (EngineVariant variant : kVariants) {
+          requests.push_back({"a", &(*series_a_)[i], variant});
+          requests.push_back({"b", &(*series_b_)[i], variant});
         }
       }
     }
     futures.reserve(requests.size());
     for (const Expected& r : requests) {
-      futures.push_back(server.submit(r.id, *r.series, r.kind));
+      futures.push_back(
+          server.submit(r.id, *r.series, {.engine = r.variant}));
     }
     for (std::size_t i = 0; i < requests.size(); ++i) {
       const InferResult& result = futures[i].get();
       ASSERT_EQ(result.status, RequestStatus::kOk)
           << "workers=" << workers << " request " << i;
-      const LoadedModel& model =
-          requests[i].id[0] == 'a' ? *model_a_ : *model_b_;
-      const Vector expected = model.infer(*requests[i].series,
-                                          requests[i].kind);
+      const bool a = requests[i].id[0] == 'a';
+      Vector expected;
+      if (requests[i].variant == EngineVariant::kFloat) {
+        expected = (a ? *model_a_ : *model_b_).infer(*requests[i].series);
+      } else {
+        const std::span<const double> logits =
+            (a ? oracle_a : oracle_b).infer(*requests[i].series);
+        expected.assign(logits.begin(), logits.end());
+      }
       expect_bit_identical(
           expected, result.logits,
           std::string("workers=") + std::to_string(workers) + " model " +
@@ -524,10 +548,10 @@ TEST_F(ServerRouting, SyncClassifyBatchMatchesFreeFunction) {
   EXPECT_EQ(server.stats("a").completed, 2 * series.size());
 }
 
-// Per-request quantized routing: RequestOptions with a QuantizedEngineKind
-// serves the artifact's calibrated twin, bit-identical to direct quantized
-// inference for both kinds, interleaved with float traffic on the same
-// worker; a float-only artifact answers quantized requests with the typed
+// Per-request quantized routing: RequestOptions with EngineVariant::kQuantized
+// serves the artifact's calibrated twin, bit-identical to the scalar
+// quantized oracle, interleaved with float traffic on the same worker; a
+// float-only artifact answers quantized requests with the typed
 // kInvalidArgument.
 TEST_F(ServerRouting, QuantizedRequestsRouteToTheQuantizedTwin) {
   auto quantized = std::make_shared<const QuantizedDfr>(
@@ -543,31 +567,29 @@ TEST_F(ServerRouting, QuantizedRequestsRouteToTheQuantizedTwin) {
     const Matrix& series = (*series_a_)[i];
     const Vector expected(direct.infer(series).begin(),
                           direct.infer(series).end());
-    for (serve::RequestOptions options :
-         {serve::RequestOptions{QuantizedEngineKind::kAuto},
-          serve::RequestOptions{QuantizedEngineKind::kScalar},
-          serve::RequestOptions{QuantizedEngineKind::kSimd}}) {
-      InferFuture quant_future = server.submit("a", series, options);
-      InferFuture float_future = server.submit("a", series);  // interleave
-      const InferResult& result = quant_future.get();
-      ASSERT_EQ(result.status, RequestStatus::kOk);
-      expect_bit_identical(expected, result.logits,
-                           "quantized request " + std::to_string(i));
-      EXPECT_EQ(result.label, direct.classify(series));
-      EXPECT_EQ(float_future.get().status, RequestStatus::kOk);
-    }
+    InferFuture quant_future =
+        server.submit("a", series, {.engine = EngineVariant::kQuantized});
+    InferFuture float_future = server.submit("a", series);  // interleave
+    const InferResult& result = quant_future.get();
+    ASSERT_EQ(result.status, RequestStatus::kOk);
+    expect_bit_identical(expected, result.logits,
+                         "quantized request " + std::to_string(i));
+    EXPECT_EQ(result.label, direct.classify(series));
+    EXPECT_EQ(float_future.get().status, RequestStatus::kOk);
   }
   // Quantized request against a float-only artifact: typed client error.
+  const serve::RequestOptions quantized_options{
+      .engine = EngineVariant::kQuantized};
   const InferResult& no_twin =
-      server.submit("b", (*series_b_)[0], QuantizedEngineKind::kAuto).get();
+      server.submit("b", (*series_b_)[0], quantized_options).get();
   EXPECT_EQ(no_twin.status, RequestStatus::kInvalidArgument);
 
-  // The sync batch path routes quantized kinds the same way.
+  // The sync batch path routes the quantized variant the same way.
   const std::span<const Matrix> series(*series_a_);
-  EXPECT_EQ(server.classify_batch("a", series, 2, QuantizedEngineKind::kAuto),
+  EXPECT_EQ(server.classify_batch("a", series, 2, quantized_options),
             classify_batch(*quantized, series, 1));
   EXPECT_THROW(
-      (void)server.classify_batch("b", series, 1, QuantizedEngineKind::kAuto),
+      (void)server.classify_batch("b", series, 1, quantized_options),
       CheckError);
 }
 
@@ -802,11 +824,14 @@ TEST_F(ServerRouting, AbandonedFutureNeverReadsADestroyedSeries) {
 
 TEST_F(ServerRouting, SubmitPathAllocationFreeInSteadyState) {
   ModelRegistry registry;
-  registry.register_model(model_a_->artifact("a"));
-  registry.register_model(model_b_->artifact("b"));
+  registry.register_model(twin_artifact(*model_a_, "a"));
+  registry.register_model(twin_artifact(*model_b_, "b"));
   InferenceServer server(registry, {.workers = 1, .queue_capacity = 4});
+  const serve::RequestOptions float_options{};
+  const serve::RequestOptions quantized_options{
+      .engine = EngineVariant::kQuantized};
 
-  // Warm-up: build every (worker, model, kind) engine, size the per-slot
+  // Warm-up: build every (worker, model, variant) engine, size the per-slot
   // logits/id storage, and create the per-model stats entries. Touch every
   // slot by holding capacity futures at least once.
   for (int rep = 0; rep < 8; ++rep) {
@@ -815,8 +840,8 @@ TEST_F(ServerRouting, SubmitPathAllocationFreeInSteadyState) {
       const bool a = (rep + i) % 2 == 0;
       wave.push_back(server.submit(a ? "a" : "b",
                                    a ? (*series_a_)[0] : (*series_b_)[0],
-                                   i % 2 == 0 ? FloatEngineKind::kAuto
-                                              : FloatEngineKind::kScalar));
+                                   i % 2 == 0 ? float_options
+                                              : quantized_options));
     }
     for (InferFuture& future : wave) future.wait();
   }
@@ -827,8 +852,7 @@ TEST_F(ServerRouting, SubmitPathAllocationFreeInSteadyState) {
     const bool a = rep % 2 == 0;
     InferFuture future =
         server.submit(a ? "a" : "b", a ? (*series_a_)[0] : (*series_b_)[0],
-                      rep % 4 < 2 ? FloatEngineKind::kAuto
-                                  : FloatEngineKind::kScalar);
+                      rep % 4 < 2 ? float_options : quantized_options);
     const InferResult& result = future.get();
     sink += result.label;
     sink += static_cast<int>(result.status);
@@ -876,7 +900,7 @@ TEST(ServerConfigValidation, MicroBatchKnobsThrowTypedErrors) {
 
 // The batched contract end to end: with micro-batching enabled, every reply
 // is bit-identical to the unbatched server's reply for the same request —
-// for both models, float and quantized kinds, at 1 and 8 workers. (Batched
+// for both models, float and quantized variants, at 1 and 8 workers. (Batched
 // lanes run the same per-element kernel operations as the single-series
 // engines, so coalescing must be invisible in the results.)
 TEST_F(ServerRouting, MicroBatchedResultsBitIdenticalToUnbatched) {
@@ -894,14 +918,13 @@ TEST_F(ServerRouting, MicroBatchedResultsBitIdenticalToUnbatched) {
   std::vector<Request> requests;
   for (int pass = 0; pass < 2; ++pass) {
     for (std::size_t i = 0; i < kSeriesPerModel; ++i) {
-      requests.push_back({"a", &(*series_a_)[i],
-                          serve::RequestOptions{FloatEngineKind::kAuto}});
-      requests.push_back({"a", &(*series_a_)[i],
-                          serve::RequestOptions{FloatEngineKind::kScalar}});
-      requests.push_back({"a", &(*series_a_)[i],
-                          serve::RequestOptions{QuantizedEngineKind::kAuto}});
-      requests.push_back({"b", &(*series_b_)[i],
-                          serve::RequestOptions{FloatEngineKind::kAuto}});
+      // "a" alternates float and quantized, so both cached batched engines
+      // of one artifact serve the same wave.
+      requests.push_back({"a", &(*series_a_)[i], {}});
+      requests.push_back(
+          {"a", &(*series_a_)[i], {.engine = EngineVariant::kQuantized}});
+      requests.push_back({"a", &(*series_a_)[(i + 1) % kSeriesPerModel], {}});
+      requests.push_back({"b", &(*series_b_)[i], {}});
     }
   }
 
@@ -954,8 +977,8 @@ TEST_F(ServerRouting, MicroBatchedMissingTwinFailsEveryLaneTyped) {
                                     .batch_window_us = 200});
   std::vector<InferFuture> futures;
   for (int i = 0; i < 8; ++i) {
-    futures.push_back(
-        server.submit("b", (*series_b_)[0], QuantizedEngineKind::kAuto));
+    futures.push_back(server.submit("b", (*series_b_)[0],
+                                    {.engine = EngineVariant::kQuantized}));
   }
   for (InferFuture& future : futures) {
     const InferResult& result = future.get();

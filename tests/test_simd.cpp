@@ -576,22 +576,26 @@ TEST(SimdEquivalence, LogitsAndClassifyMatchFloatEngine) {
   }
 }
 
-TEST(SimdEquivalence, LoadedModelEngineKnobAgrees) {
+// LoadedModel::infer runs the SIMD float datapath: bit-identical to the SIMD
+// engine on the active backend, within the ULP contract of the scalar oracle.
+TEST(SimdEquivalence, LoadedModelInferMatchesTheOracle) {
   const LoadedModel model = make_model(20, 2, 3, NonlinearityKind::kTanh, 5);
   Rng rng(6);
   const Matrix series = random_series(30, 2, rng);
-  const Vector scalar = model.infer(series, FloatEngineKind::kScalar);
-  const Vector simd_z = model.infer(series, FloatEngineKind::kSimd);
-  const Vector auto_z = model.infer(series);  // default = kAuto
+  InferenceEngine oracle = make_engine(model);
+  const std::span<const double> oracle_z = oracle.infer(series);
+  const Vector scalar(oracle_z.begin(), oracle_z.end());
+  SimdInferenceEngine engine = make_simd_engine(model);
+  const std::span<const double> simd_z = engine.infer(series);
+  const Vector infer_z = model.infer(series);
   ASSERT_EQ(scalar.size(), simd_z.size());
-  ASSERT_EQ(simd_z.size(), auto_z.size());
+  ASSERT_EQ(simd_z.size(), infer_z.size());
   for (std::size_t c = 0; c < scalar.size(); ++c) {
-    EXPECT_EQ(simd_z[c], auto_z[c]);  // kAuto and kSimd are the same engine
-    EXPECT_NEAR(scalar[c], simd_z[c], 1e-9 * std::max(1.0, std::fabs(scalar[c])));
+    EXPECT_EQ(simd_z[c], infer_z[c]);  // the same datapath and backend
+    EXPECT_NEAR(scalar[c], infer_z[c], 1e-9 * std::max(1.0, std::fabs(scalar[c])));
   }
-  EXPECT_EQ(model.classify(series, FloatEngineKind::kScalar),
-            model.classify(series, FloatEngineKind::kSimd));
-  EXPECT_EQ(model.classify(series), model.classify(series, FloatEngineKind::kAuto));
+  EXPECT_EQ(model.classify(series), oracle.classify(series));
+  EXPECT_EQ(model.classify(series), engine.classify(series));
 }
 
 // ---- batch determinism under forced dispatch -------------------------------
@@ -608,8 +612,6 @@ TEST(SimdBatch, ClassifyBatchDeterministicUnderForcedDispatch) {
   std::vector<int> scalar_ref;
   InferenceEngine scalar_engine = make_engine(model);
   for (const Matrix& m : batch) scalar_ref.push_back(scalar_engine.classify(m));
-  EXPECT_EQ(classify_batch(model, series, 1, FloatEngineKind::kScalar),
-            scalar_ref);
 
   ScopedBackend guard;
   for (simd::Backend b : available_backends()) {

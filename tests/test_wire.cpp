@@ -70,7 +70,7 @@ WireRequest sample_request() {
   WireRequest request;
   request.seq = 0xfeedface12345678ull;
   request.model_id = "models/clinical-ecg.v7";
-  request.options.engine = QuantizedEngineKind::kSimd;
+  request.options.engine = EngineVariant::kQuantized;
   request.options.deadline_us = 123456789ull;
   request.options.priority = -7;
   request.series = tricky_series();
@@ -89,10 +89,7 @@ TEST(WireRoundTrip, RequestEveryFieldBitIdentical) {
   EXPECT_EQ(decoded.model_id, request.model_id);
   EXPECT_EQ(decoded.options.deadline_us, request.options.deadline_us);
   EXPECT_EQ(decoded.options.priority, request.options.priority);
-  ASSERT_TRUE(std::holds_alternative<QuantizedEngineKind>(
-      decoded.options.engine));
-  EXPECT_EQ(std::get<QuantizedEngineKind>(decoded.options.engine),
-            QuantizedEngineKind::kSimd);
+  EXPECT_EQ(decoded.options.engine, EngineVariant::kQuantized);
   ASSERT_EQ(decoded.series.rows(), request.series.rows());
   ASSERT_EQ(decoded.series.cols(), request.series.cols());
   for (std::size_t i = 0; i < request.series.size(); ++i) {
@@ -101,26 +98,77 @@ TEST(WireRoundTrip, RequestEveryFieldBitIdentical) {
   }
 }
 
-TEST(WireRoundTrip, EveryEngineVariantSurvives) {
-  const auto variants = {
-      RequestOptions{.engine = FloatEngineKind::kAuto},
-      RequestOptions{.engine = FloatEngineKind::kScalar},
-      RequestOptions{.engine = FloatEngineKind::kSimd},
-      RequestOptions{.engine = QuantizedEngineKind::kAuto},
-      RequestOptions{.engine = QuantizedEngineKind::kScalar},
-      RequestOptions{.engine = QuantizedEngineKind::kSimd},
-  };
-  const Matrix series(1, 1);
-  for (const RequestOptions& options : variants) {
-    WireRequest request;
-    request.model_id = "m";
-    request.options = options;
-    request.series = series;
+/// The infer-request frame for seq 7, model "m", priority -2, deadline
+/// 1000 us and the 1 x 2 series {1.0, -0.5}, written out byte by byte, with
+/// `family` as the engine family byte and 0 as the engine kind byte.
+std::vector<std::byte> golden_request_frame(std::uint8_t family) {
+  const std::uint8_t bytes[] = {
+      'D', 'F', 'R', 'W', 0x02, 0x00, 0x01, 0x00,        // magic, v2, infer
+      0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,    // seq
+      0x35, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,    // body bytes = 53
+      family, 0x00, 0x00, 0x00,                          // family, kind, rsvd
+      0xfe, 0xff, 0xff, 0xff,                            // priority
+      0xe8, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,    // deadline_us
+      0x01, 0x00, 0x00, 0x00, 'm',                       // model id
+      0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,    // rows
+      0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,    // cols
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0, 0x3f,    // 1.0
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe0, 0xbf};   // -0.5
+  std::vector<std::byte> frame(sizeof(bytes));
+  std::memcpy(frame.data(), bytes, sizeof(bytes));
+  return frame;
+}
+
+WireRequest golden_request(EngineVariant engine) {
+  WireRequest request;
+  request.seq = 7;
+  request.model_id = "m";
+  request.options.engine = engine;
+  request.options.priority = -2;
+  request.options.deadline_us = 1000;
+  request.series = Matrix(1, 2);
+  request.series(0, 0) = 1.0;
+  request.series(0, 1) = -0.5;
+  return request;
+}
+
+// The frame layout is unchanged from the protocol's engine-kind era: a
+// float request encodes as family 0, a quantized one as family 1, each with
+// the kind byte its old "auto" value 0.
+TEST(WireRoundTrip, RequestBytesMatchTheGoldenFrames) {
+  for (const EngineVariant engine :
+       {EngineVariant::kFloat, EngineVariant::kQuantized}) {
+    const std::uint8_t family = static_cast<std::uint8_t>(engine);
     std::vector<std::byte> frame;
-    encode_request(request, frame);
-    const WireRequest decoded = decode_request(frame);
-    EXPECT_EQ(decoded.options.engine, options.engine);
+    encode_request(golden_request(engine), frame);
+    EXPECT_EQ(frame, golden_request_frame(family)) << "family " << +family;
+    EXPECT_EQ(decode_request(frame).options.engine, engine);
   }
+}
+
+// A peer may still send kind 1 or 2 (once scalar / simd): each decodes like
+// 0, to the family's one datapath. Out-of-range bytes stay rejected.
+TEST(WireRoundTrip, EngineKindByteDecodesToTheFamilysDatapath) {
+  const std::size_t family_at = sizeof(FrameHeader);
+  for (const EngineVariant engine :
+       {EngineVariant::kFloat, EngineVariant::kQuantized}) {
+    const std::vector<std::byte> golden =
+        golden_request_frame(static_cast<std::uint8_t>(engine));
+    for (const std::uint8_t kind : {std::uint8_t{1}, std::uint8_t{2}}) {
+      auto frame = golden;
+      patch<std::uint8_t>(frame, family_at + 1, kind);
+      const WireRequest decoded = decode_request(frame);
+      EXPECT_EQ(decoded.options.engine, engine) << "kind " << +kind;
+      EXPECT_EQ(decoded.model_id, "m");
+      EXPECT_EQ(decoded.options.deadline_us, 1000u);
+    }
+    auto frame = golden;
+    patch<std::uint8_t>(frame, family_at + 1, 3);
+    EXPECT_THROW((void)decode_request(frame), CheckError);
+  }
+  auto frame = golden_request_frame(0);
+  patch<std::uint8_t>(frame, family_at, 2);
+  EXPECT_THROW((void)decode_request(frame), CheckError);
 }
 
 TEST(WireRoundTrip, ResponseEveryStatusAndTrickyLogits) {
@@ -367,7 +415,7 @@ TEST(WireMalformed, BadEngineEncodingRejected) {
   patch<std::uint8_t>(copy, sizeof(FrameHeader), 2);  // family beyond quantized
   EXPECT_THROW((void)decode_request(copy), CheckError);
   copy = frame;
-  patch<std::uint8_t>(copy, sizeof(FrameHeader) + 1, 3);  // kind beyond simd
+  patch<std::uint8_t>(copy, sizeof(FrameHeader) + 1, 3);  // kind beyond 2
   EXPECT_THROW((void)decode_request(copy), CheckError);
 }
 
