@@ -3,11 +3,11 @@
 // percentiles (p50/p90/p99) and batch throughput across thread counts, for
 // the two serving datapaths, simd-<backend> (float) and quant-<backend>
 // (calibrated fixed point), on the runtime-dispatched kernels (force with
-// DFR_SIMD=scalar|avx2|avx512|neon), against the scalar oracle engines they
-// are held to: `float` (FloatDatapath, ULP contract) and `quant-scalar`
-// (QuantizedDatapath, bit-identical by the quantized SIMD contract). The
-// oracle rows' batch throughput runs the same per-worker-engine fan-out as
-// classify_batch (for_each_with_engine) — plus the cross-request batched SoA engine rows
+// DFR_SIMD=scalar|avx2|avx512|neon), against the same two datapaths pinned
+// to the portable kernels (simd::Backend::kScalar): `float` and
+// `quant-scalar`. Those rows' batch throughput runs the same
+// per-worker-engine fan-out as classify_batch (for_each_with_engine) — plus
+// the cross-request batched SoA engine rows
 // (batched-<backend> / batched-quant-<backend>: one BatchedEngine running
 // `--lanes` concurrent series per step, per-series latency = batch time /
 // lanes, speedup vs the single-series simd-<backend> serial loop) — plus
@@ -88,14 +88,14 @@ LoadedModel make_serving_model(const Dataset& data, std::size_t nodes,
   return model;
 }
 
-/// Batch throughput path for an oracle engine: classify_batch's fan-out
-/// (one engine per worker chunk) over engines from `make_oracle`.
+/// Batch throughput path for engines pinned to one backend: classify_batch's
+/// fan-out (one engine per worker chunk) over engines from `make_pinned`.
 template <typename MakeEngine>
-std::vector<int> oracle_classify_batch(std::span<const Matrix> batch,
+std::vector<int> pinned_classify_batch(std::span<const Matrix> batch,
                                        unsigned threads,
-                                       const MakeEngine& make_oracle) {
+                                       const MakeEngine& make_pinned) {
   std::vector<int> out(batch.size());
-  for_each_with_engine(batch.size(), threads, make_oracle,
+  for_each_with_engine(batch.size(), threads, make_pinned,
                        [&](auto& engine, std::size_t i) {
                          out[i] = engine.classify(batch[i]);
                        });
@@ -371,11 +371,15 @@ int main(int argc, char** argv) {
       std::function<std::vector<int>(unsigned)> run_batch;
     };
     std::vector<Datapath> datapaths;
+    constexpr simd::Backend kPortable = simd::Backend::kScalar;
     datapaths.push_back(
-        {"float", run_single_stream(make_engine(artifact), batch, repeats),
+        {"float",
+         run_single_stream(make_simd_engine(artifact, kPortable), batch,
+                           repeats),
          [&](unsigned threads) {
-           return oracle_classify_batch(batch, threads,
-                                        [&] { return make_engine(artifact); });
+           return pinned_classify_batch(batch, threads, [&] {
+             return make_simd_engine(artifact, kPortable);
+           });
          }});
     datapaths.push_back(
         {"simd-" + std::string(simd::backend_name(simd::active_backend())),
@@ -386,10 +390,12 @@ int main(int argc, char** argv) {
          }});
     datapaths.push_back(
         {"quant-scalar",
-         run_single_stream(make_engine(quantized), batch, repeats),
+         run_single_stream(make_simd_engine(quantized, kPortable), batch,
+                           repeats),
          [&](unsigned threads) {
-           return oracle_classify_batch(batch, threads,
-                                        [&] { return make_engine(quantized); });
+           return pinned_classify_batch(batch, threads, [&] {
+             return make_simd_engine(quantized, kPortable);
+           });
          }});
     datapaths.push_back(
         {"quant-" + std::string(simd::backend_name(simd::active_backend())),

@@ -92,12 +92,13 @@ int main(int argc, char** argv) {
   // 6. Quantized serving on the SIMD datapath, the one quantized serving
   // datapath. Unlike the float family's ULP contract, the quantized SIMD
   // kernels are bit-identical to the scalar fixed-point pipeline on every
-  // backend; make_engine(qdfr) builds that scalar oracle, so verify the
-  // contract against it on the whole split.
+  // backend, so the dispatched engine must label the whole split exactly
+  // like the same datapath on the portable kernels (Backend::kScalar).
   QuantizedDfr qdfr(loaded, QuantizedInferenceConfig{});
   qdfr.calibrate(data.train);
   SimdQuantizedInferenceEngine quant_engine = make_simd_engine(qdfr);
-  QuantizedInferenceEngine quant_scalar = make_engine(qdfr);  // scratch reused
+  SimdQuantizedInferenceEngine quant_scalar =
+      make_simd_engine(qdfr, simd::Backend::kScalar);  // scratch reused
   std::size_t identical = 0;
   for (const Sample& s : data.test.samples()) {
     if (quant_engine.classify(s.series) == quant_scalar.classify(s.series)) {
@@ -106,7 +107,7 @@ int main(int argc, char** argv) {
   }
   std::cout << "quantized SIMD ("
             << simd::backend_name(quant_engine.datapath().backend())
-            << ") vs scalar fixed-point: " << identical << "/"
+            << ") vs portable kernels: " << identical << "/"
             << data.test.size() << " identical labels"
             << (identical == data.test.size() ? "" : " — CONTRACT VIOLATION")
             << '\n';

@@ -209,7 +209,8 @@ void StreamingForward::features_into(const DfrParams& params,
   DFR_CHECK_MSG(features.size() == dprr_dim(nx_), "feature row has wrong length");
   stream(params, series);
   // Gather the Nx x Nx block and the node-sum row out of the padded
-  // accumulator and time-average them, as FloatDatapath::finalize does.
+  // accumulator and time-average them, as compute_representation(kDprr)
+  // does for the scalar trajectory pipeline.
   const double time_scale = dprr_time_scale(series.rows());
   for (std::size_t i = 0; i <= nx_; ++i) {
     const double* row = dprr_.data() + i * stride_;

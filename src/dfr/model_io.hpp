@@ -96,7 +96,8 @@ struct LoadedModel {
   /// Logits for one series (T x V): ONE reservoir run through the SIMD float
   /// datapath (serve/engine.hpp) on the active backend (best available
   /// unless DFR_SIMD / simd::force_backend overrode it), within the ULP
-  /// contract of serve/simd_kernels.hpp of the scalar FloatDatapath oracle.
+  /// contract of serve/simd_kernels.hpp of the scalar trajectory pipeline
+  /// (ModularReservoir::run_series + compute_representation).
   /// classify() and probabilities() both wrap this; callers wanting both
   /// should call infer() once and derive argmax / softmax themselves. For
   /// sustained serving construct an engine directly — it reuses its scratch

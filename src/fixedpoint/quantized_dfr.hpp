@@ -18,8 +18,9 @@
 // Execution: classify(), features() and quantized_accuracy() run the one
 // quantized serving datapath, SimdQuantizedDatapath (serve/engine.hpp), on
 // the active kernel backend; DFR_SIMD=scalar or simd::force_backend selects
-// the portable kernels. Its results are bit-identical to the scalar
-// QuantizedDatapath, which the tests keep as the oracle.
+// the portable kernels. Its results are bit-identical on every backend to
+// the scalar fixed-point reference the tests keep (the per-series loop of
+// tests/test_support.hpp with quantized_readout()).
 
 #include "dfr/model_io.hpp"
 #include "fixedpoint/fixed.hpp"
@@ -51,8 +52,9 @@ class QuantizedDfr {
   void calibrate(const Dataset& data, std::size_t max_samples = 8);
 
   /// Classify one series with the quantized datapath: the SIMD quantized
-  /// engine (serve/engine.hpp) on the active backend, bit-identical to the
-  /// scalar QuantizedDatapath oracle on every backend. Convenience wrapper
+  /// engine (serve/engine.hpp) on the active backend, bit-identical on every
+  /// backend to the scalar fixed-point reference loop of
+  /// tests/test_support.hpp. Convenience wrapper
   /// that builds a fresh engine per call; sustained serving should hold an
   /// engine and reuse its scratch.
   [[nodiscard]] int classify(const Matrix& series) const;

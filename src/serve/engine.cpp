@@ -37,80 +37,6 @@ void padded_mask_into(const simd::Kernels& kernels,
 
 }  // namespace
 
-// ---- FloatDatapath ---------------------------------------------------------
-
-FloatDatapath::FloatDatapath(const Mask& mask, const DfrParams& params,
-                             Nonlinearity f)
-    : mask_(&mask), params_(params), reservoir_(mask.nodes(), f) {}
-
-FloatDatapath::FloatDatapath(ModelArtifactPtr model)
-    : artifact_(checked_artifact(std::move(model))),
-      mask_(&artifact_->mask),
-      params_(artifact_->params),
-      reservoir_(artifact_->mask.nodes(), artifact_->nonlinearity),
-      readout_(&artifact_->readout) {}
-
-FloatDatapath::FloatDatapath(const LoadedModel& model)
-    : FloatDatapath(model.artifact()) {}
-
-void FloatDatapath::mask_into(std::span<const double> input,
-                              std::span<double> j) const {
-  mask_->apply_into(input, j);
-}
-
-void FloatDatapath::step(std::span<const double> j,
-                         std::span<const double> x_prev,
-                         std::span<double> x_out) const {
-  reservoir_.step(params_, j, x_prev, x_out);
-}
-
-void FloatDatapath::finalize(Vector& r, std::size_t t_len) const {
-  scale(r, dprr_time_scale(t_len));  // time-averaged DPRR (see dprr.hpp)
-}
-
-// ---- QuantizedDatapath -----------------------------------------------------
-
-QuantizedDatapath::QuantizedDatapath(const QuantizedDfr& model)
-    : mask_(&model.model().mask),
-      params_(model.model().params),
-      f_(model.model().nonlinearity),
-      state_format_(model.config().state_format),
-      feature_format_(model.config().feature_format),
-      state_scale_(model.scales().state),
-      feature_scale_(model.scales().feature),
-      readout_(&model.quantized_readout()) {}
-
-QuantizedDatapath::QuantizedDatapath(std::shared_ptr<const QuantizedDfr> model)
-    : QuantizedDatapath(checked_deref(model)) {
-  owner_ = std::move(model);
-}
-
-void QuantizedDatapath::mask_into(std::span<const double> input,
-                                  std::span<double> j) const {
-  mask_->apply_into(input, j);
-  const double inv_state = 1.0 / state_scale_;
-  for (double& v : j) v = state_format_.quantize(v * inv_state);
-}
-
-void QuantizedDatapath::step(std::span<const double> j,
-                             std::span<const double> x_prev,
-                             std::span<double> x_out) const {
-  const std::size_t nx = x_prev.size();
-  double prev_node = x_prev[nx - 1];  // x(k)_0 = x(k-1)_{Nx}
-  for (std::size_t n = 0; n < nx; ++n) {
-    const double s = state_format_.quantize(j[n] + x_prev[n]);
-    const double value = params_.a * f_.value(s) + params_.b * prev_node;
-    prev_node = state_format_.quantize(value);
-    x_out[n] = prev_node;
-  }
-}
-
-void QuantizedDatapath::finalize(Vector& r, std::size_t t_len) const {
-  // Time-average (matches the trained readout) plus residual prescale.
-  scale(r, dprr_time_scale(t_len) / feature_scale_);
-  feature_format_.quantize(r);
-}
-
 // ---- SimdFloatDatapath -----------------------------------------------------
 
 SimdFloatDatapath::SimdFloatDatapath(const Mask& mask, const DfrParams& params,
@@ -219,10 +145,9 @@ void SimdQuantizedDatapath::step(std::span<const double> j,
   // Vectorized stage: x_out[n] = A * f~( Q_state(j[n] + x_prev[n]) ).
   kernels_->quant_preadd_nonlin(f_, params_.a, state_format_, j.data(),
                                 x_prev.data(), x_out.data(), nx);
-  // Serialized quantized B-chain, head continued from x(k-1)_{Nx}. Same
-  // operation order as QuantizedDatapath::step (one multiply, one add, one
-  // round-to-format per node), so the stage rounds identically to the
-  // scalar fixed-point pipeline.
+  // Serialized quantized B-chain, head continued from x(k-1)_{Nx}: one
+  // multiply, one add, one round-to-format per node, in node order, so the
+  // stage rounds identically to the scalar fixed-point pipeline.
   double prev_node = x_prev[nx - 1];
   for (std::size_t n = 0; n < nx; ++n) {
     const double value = x_out[n] + params_.b * prev_node;
@@ -241,7 +166,8 @@ void SimdQuantizedDatapath::dprr_add(double* r, const double* x_k,
 
 void SimdQuantizedDatapath::finalize(Vector& r, std::size_t t_len) const {
   // Time-average plus residual prescale plus feature quantization — the
-  // same per-element ops as QuantizedDatapath::finalize, one fused pass.
+  // same per-element ops as the scalar fixed-point pipeline's
+  // scale-then-quantize, one fused pass.
   kernels_->scale_quantize(feature_format_,
                            dprr_time_scale(t_len) / feature_scale_, r.data(),
                            r.size());
@@ -465,18 +391,9 @@ BatchedQuantizedInferenceEngine make_batched_engine(
 // ---- BasicEngine -----------------------------------------------------------
 
 template <InferenceDatapath P>
-auto BasicEngine<P>::make_accumulator(std::size_t nx) -> Accumulator {
-  if constexpr (kPadded) {
-    return simd::AlignedVector(simd::padded_dprr_size(nx), 0.0);
-  } else {
-    return DprrAccumulator(nx);
-  }
-}
-
-template <InferenceDatapath P>
 BasicEngine<P>::BasicEngine(P datapath)
     : datapath_(std::move(datapath)),
-      row_(kPadded ? simd::padded_nodes(datapath_.nodes()) : datapath_.nodes()),
+      row_(simd::padded_nodes(datapath_.nodes())),
       j_(row_, 0.0),
       x_prev_(row_, 0.0),
       x_cur_(row_, 0.0),
@@ -485,7 +402,7 @@ BasicEngine<P>::BasicEngine(P datapath)
                   ? static_cast<std::size_t>(datapath_.readout()->num_classes())
                   : 0,
               0.0),
-      dprr_(make_accumulator(datapath_.nodes())) {}
+      dprr_(simd::padded_dprr_size(datapath_.nodes()), 0.0) {}
 
 template <InferenceDatapath P>
 std::span<const double> BasicEngine<P>::features(const Matrix& series) {
@@ -495,31 +412,19 @@ std::span<const double> BasicEngine<P>::features(const Matrix& series) {
   // x(0) = 0. Pad lanes are zero from construction on: the step stage never
   // writes them.
   std::fill(x_prev_.begin(), x_prev_.end(), 0.0);
-  if constexpr (kPadded) {
-    std::fill(dprr_.begin(), dprr_.end(), 0.0);
-  } else {
-    dprr_.reset();
-  }
+  std::fill(dprr_.begin(), dprr_.end(), 0.0);
   for (std::size_t k = 0; k < series.rows(); ++k) {
     datapath_.mask_into(series.row(k), j_);
     datapath_.step(j_, x_prev_, x_cur_);
-    if constexpr (kPadded) {
-      datapath_.dprr_add(dprr_.data(), x_cur_.data(), x_prev_.data());
-    } else {
-      dprr_.add(x_cur_, x_prev_);
-    }
+    datapath_.dprr_add(dprr_.data(), x_cur_.data(), x_prev_.data());
     std::swap(x_prev_, x_cur_);  // pointer swap: no allocation
   }
-  if constexpr (kPadded) {
-    // Rows 0..Nx-1 of the padded accumulator hold the Nx x Nx block, row Nx
-    // the node sums; drop each row's pad columns.
-    const std::size_t nx = datapath_.nodes();
-    for (std::size_t i = 0; i <= nx; ++i) {
-      std::copy_n(dprr_.begin() + static_cast<std::ptrdiff_t>(i * row_), nx,
-                  r_.begin() + static_cast<std::ptrdiff_t>(i * nx));
-    }
-  } else {
-    std::copy(dprr_.features().begin(), dprr_.features().end(), r_.begin());
+  // Rows 0..Nx-1 of the padded accumulator hold the Nx x Nx block, row Nx
+  // the node sums; drop each row's pad columns.
+  const std::size_t nx = datapath_.nodes();
+  for (std::size_t i = 0; i <= nx; ++i) {
+    std::copy_n(dprr_.begin() + static_cast<std::ptrdiff_t>(i * row_), nx,
+                r_.begin() + static_cast<std::ptrdiff_t>(i * nx));
   }
   datapath_.finalize(r_, series.rows());
   return r_;
@@ -546,28 +451,10 @@ Vector BasicEngine<P>::probabilities(const Matrix& series) {
   return softmax(infer(series));
 }
 
-template class BasicEngine<FloatDatapath>;
-template class BasicEngine<QuantizedDatapath>;
 template class BasicEngine<SimdFloatDatapath>;
 template class BasicEngine<SimdQuantizedDatapath>;
 
 // ---- batch serving ---------------------------------------------------------
-
-InferenceEngine make_engine(const LoadedModel& model) {
-  return InferenceEngine(FloatDatapath(model));
-}
-
-InferenceEngine make_engine(ModelArtifactPtr model) {
-  return InferenceEngine(FloatDatapath(std::move(model)));
-}
-
-QuantizedInferenceEngine make_engine(const QuantizedDfr& model) {
-  return QuantizedInferenceEngine(QuantizedDatapath(model));
-}
-
-QuantizedInferenceEngine make_engine(std::shared_ptr<const QuantizedDfr> model) {
-  return QuantizedInferenceEngine(QuantizedDatapath(std::move(model)));
-}
 
 SimdInferenceEngine make_simd_engine(const LoadedModel& model,
                                      simd::Backend backend) {

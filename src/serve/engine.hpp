@@ -26,34 +26,38 @@
 //     quantized_dfr.hpp: vectorized round-to-format on the masked input,
 //     quantized preadd + nonlinearity, exact (no-FMA) DPRR row updates, and
 //     fused scale+quantize feature finalization.
-// FloatDatapath and QuantizedDatapath are the plain scalar oracles those two
-// are held to; no serving path builds them, only the equivalence tests and
-// bench_serving's reference rows do. SimdFloatDatapath matches FloatDatapath
-// within the documented ULP contract; SimdQuantizedDatapath has a STRICTER
-// contract: bit-identical to QuantizedDatapath on every backend (fixed-point
-// rounding is exact; see the quantized contract in simd_kernels.hpp).
+// The references they are held to live outside serve/, so an oracle never
+// shares code with what it checks. Float: the dfr/ trajectory pipeline
+// (ModularReservoir::run_series + compute_representation(kDprr), then the
+// OutputLayer readout); SimdFloatDatapath matches it within the documented
+// ULP contract, bit for bit on Backend::kScalar on x86-64. Quantized: the
+// plain fixed-point loop of tests/test_support.hpp with
+// QuantizedDfr::quantized_readout(); SimdQuantizedDatapath has the STRICTER
+// contract, bit-identical on every backend (fixed-point rounding is exact;
+// see the quantized contract in simd_kernels.hpp).
 //
-// Row layout: a policy that provides dprr_add(r, x_k, x_km1) — the two SIMD
-// datapaths — owns the accumulation step over the padded single-series
-// layout of simd_kernels.hpp: the engine then keeps the masked input, both
-// state rows and every accumulator row at a stride of
+// Row layout: every datapath owns its accumulation step (dprr_add) over the
+// padded single-series layout of simd_kernels.hpp. The engine keeps the
+// masked input, both state rows and every accumulator row at a stride of
 // simd::padded_nodes(Nx), and gathers the Nx x Nx block and the node sums
-// out of the padded accumulator into the feature vector. The scalar
-// datapaths keep Nx-wide rows and accumulate through DprrAccumulator::add.
+// out of the padded accumulator into the feature vector.
 //
 // Ownership: the full-inference datapaths hold a reference-counted
 // ModelArtifactPtr (see model_io.hpp), so an engine keeps its model alive
 // for as long as the engine exists — the multi-model registry can hot-swap
 // or evict an artifact while engines built on the old one keep serving it
 // safely. Constructing from a LoadedModel snapshots it into a fresh
-// artifact. Only the features-only constructors (LoadedModel::infer and
-// the equivalence tests, where the caller owns the weights) still borrow.
+// artifact. Only the features-only SimdFloatDatapath constructor
+// (LoadedModel::infer and the equivalence tests) and the QuantizedDfr&
+// constructor of SimdQuantizedDatapath borrow: there the caller owns the
+// weights.
 //
 // Training does not run through these engines. The trainer's truncated
 // forward and the batch feature extractor (compute_features) share
 // StreamingForward (dfr/backprop.hpp): the same padded layout and kernel
 // table as SimdFloatDatapath, but with the exact (no-FMA) DPRR accumulate,
-// so its features are bit-identical to FloatDatapath on every backend.
+// so its features are bit-identical to the trajectory pipeline on every
+// backend.
 //
 // Threading: one engine serves one stream; engines share the immutable model
 // and are cheap to create, so batch serving makes one engine per worker.
@@ -63,7 +67,6 @@
 #include <concepts>
 #include <memory>
 #include <span>
-#include <type_traits>
 #include <vector>
 
 #include "dfr/dprr.hpp"
@@ -76,100 +79,34 @@
 namespace dfr {
 
 /// What a datapath must provide for the shared streaming pipeline: the model
-/// shape, the masked-input transform, one reservoir time step, the feature
-/// finalization (time averaging plus any datapath-specific scaling /
-/// quantization), and an optional readout (null = features-only).
+/// shape, the masked-input transform, one reservoir time step, the DPRR
+/// accumulate over the padded layout, the feature finalization (time
+/// averaging plus any datapath-specific scaling / quantization), and an
+/// optional readout (null = features-only).
 template <typename P>
 concept InferenceDatapath =
     requires(const P& p, std::span<const double> in, std::span<double> out,
-             Vector& r, std::size_t t_len) {
+             double* acc, const double* x, Vector& r, std::size_t t_len) {
       { p.nodes() } -> std::convertible_to<std::size_t>;
       { p.channels() } -> std::convertible_to<std::size_t>;
       { p.mask_into(in, out) };
       { p.step(in, in, out) };
+      { p.dprr_add(acc, x, x) };
       { p.finalize(r, t_len) };
       { p.readout() } -> std::convertible_to<const OutputLayer*>;
     };
 
-/// Double-precision scalar datapath over a trained model: the float oracle
-/// of the equivalence tests (no serving path runs it). The artifact
-/// constructors share ownership of the model (safe for any lifetime); the
-/// features-only constructor borrows, and the mask must outlive the datapath.
-class FloatDatapath {
- public:
-  /// Features-only pipeline (no readout). Borrows `mask`.
-  FloatDatapath(const Mask& mask, const DfrParams& params, Nonlinearity f);
-
-  /// Full inference pipeline sharing ownership of `model`.
-  explicit FloatDatapath(ModelArtifactPtr model);
-
-  /// Full inference pipeline over a loaded model (snapshots it into an
-  /// owned artifact; the LoadedModel itself need not outlive the datapath).
-  explicit FloatDatapath(const LoadedModel& model);
-
-  [[nodiscard]] std::size_t nodes() const noexcept { return reservoir_.nodes(); }
-  [[nodiscard]] std::size_t channels() const noexcept { return mask_->channels(); }
-  void mask_into(std::span<const double> input, std::span<double> j) const;
-  void step(std::span<const double> j, std::span<const double> x_prev,
-            std::span<double> x_out) const;
-  void finalize(Vector& r, std::size_t t_len) const;
-  [[nodiscard]] const OutputLayer* readout() const noexcept { return readout_; }
-  /// The owned artifact (null for the borrowing features-only pipeline).
-  [[nodiscard]] const ModelArtifactPtr& artifact() const noexcept {
-    return artifact_;
-  }
-
- private:
-  ModelArtifactPtr artifact_;  // keepalive; null when borrowing
-  const Mask* mask_;
-  DfrParams params_;
-  ModularReservoir reservoir_;
-  const OutputLayer* readout_ = nullptr;
-};
-
-/// Calibrated fixed-point scalar datapath, the quantized oracle of the
-/// equivalence tests (no serving path runs it): masked inputs and states
-/// quantized to the state format at every step, features prescaled and
-/// quantized to the feature format, readout already quantized by
-/// QuantizedDfr. The shared_ptr constructor shares ownership; the reference
-/// constructor borrows and the QuantizedDfr must outlive the datapath.
-class QuantizedDatapath {
- public:
-  explicit QuantizedDatapath(const QuantizedDfr& model);
-
-  /// Shares ownership of `model` (the quantized analogue of ModelArtifact).
-  explicit QuantizedDatapath(std::shared_ptr<const QuantizedDfr> model);
-
-  [[nodiscard]] std::size_t nodes() const noexcept { return mask_->nodes(); }
-  [[nodiscard]] std::size_t channels() const noexcept { return mask_->channels(); }
-  void mask_into(std::span<const double> input, std::span<double> j) const;
-  void step(std::span<const double> j, std::span<const double> x_prev,
-            std::span<double> x_out) const;
-  void finalize(Vector& r, std::size_t t_len) const;
-  [[nodiscard]] const OutputLayer* readout() const noexcept { return readout_; }
-
- private:
-  std::shared_ptr<const QuantizedDfr> owner_;  // keepalive; null when borrowing
-  const Mask* mask_;
-  DfrParams params_;
-  Nonlinearity f_;
-  FixedPointFormat state_format_;
-  FixedPointFormat feature_format_;
-  double state_scale_ = 1.0;    // states divided by this (power of two)
-  double feature_scale_ = 1.0;  // residual feature prescaler (power of two)
-  const OutputLayer* readout_;
-};
-
-/// Float datapath over runtime-dispatched SIMD kernels. Executes the same
-/// pipeline as FloatDatapath with the vectorizable stages (input mask,
+/// Float datapath over runtime-dispatched SIMD kernels. Executes the
+/// trajectory pipeline's operations with the vectorizable stages (input mask,
 /// masked-input preadd, nonlinearity, DPRR row updates) routed through
 /// serve/simd_kernels.hpp and the serialized B-chain as a scalar pass. Rows
 /// use the padded layout (see the engine header comment): mask_into writes
 /// simd::padded_nodes(nodes()) entries, step reads and writes only the
 /// first nodes() entries of its rows and leaves the pad lanes alone.
-/// Equivalence to FloatDatapath is governed by the ULP contract documented
-/// in simd_kernels.hpp (bit-exact mask/preadd stages, simd_feature_ulp_bound
-/// on finalized features). The artifact constructors share ownership of the
+/// Equivalence to the scalar trajectory pipeline (dfr/reservoir.hpp +
+/// dfr/representation.hpp) is governed by the ULP contract documented in
+/// simd_kernels.hpp (bit-exact mask/preadd stages, simd_feature_ulp_bound on
+/// finalized features). The artifact constructors share ownership of the
 /// model; the features-only constructor borrows the mask.
 class SimdFloatDatapath {
  public:
@@ -221,15 +158,16 @@ class SimdFloatDatapath {
 };
 
 /// Calibrated fixed-point datapath over runtime-dispatched SIMD kernels.
-/// Executes the same pipeline as QuantizedDatapath with the vectorizable
+/// Executes the scalar fixed-point pipeline with the vectorizable
 /// stages (masked-input round-to-format, quantized preadd + nonlinearity,
 /// DPRR row updates, feature scale+quantize) routed through
 /// serve/simd_kernels.hpp; the quantized B-chain (which serializes through
 /// the per-node round-to-format) stays a scalar pass. Rows use the same
 /// padded layout as SimdFloatDatapath. Unlike the float ULP
-/// contract, every stage is BIT-IDENTICAL to the scalar QuantizedDatapath
-/// on every backend (see the quantized contract in simd_kernels.hpp;
-/// asserted EXPECT_EQ-strict by test_simd_quant.cpp). The shared_ptr
+/// contract, every stage is BIT-IDENTICAL to the scalar fixed-point
+/// reference loop (tests/test_support.hpp) on every backend (see the
+/// quantized contract in simd_kernels.hpp; asserted EXPECT_EQ-strict by
+/// test_simd_quant.cpp). The shared_ptr
 /// constructors share ownership; the reference constructors borrow and the
 /// QuantizedDfr must outlive the datapath.
 class SimdQuantizedDatapath {
@@ -278,7 +216,7 @@ class SimdQuantizedDatapath {
 /// Every vector operation spans independent lanes, so the B-chain that
 /// serializes the single-series SIMD path vectorizes ACROSS requests and
 /// lanes stay full at any Nx. Per-lane equivalence: bit-identical states to
-/// FloatDatapath on x86-64 (the batched B-chain never uses FMA), finalized
+/// the scalar reservoir step on x86-64 (the batched B-chain never uses FMA), finalized
 /// features within simd_feature_ulp_bound of the scalar pipeline — the same
 /// contract as SimdFloatDatapath, and bit-identical per lane to the
 /// single-series SIMD engine (both FMA once per DPRR accumulate). Shares
@@ -329,7 +267,7 @@ class BatchedFloatDatapath {
 
 /// Batched (SoA) fixed-point datapath: the quantized twin of
 /// BatchedFloatDatapath with the STRICT contract — every stage rounds
-/// exactly like the scalar QuantizedDatapath per lane (no FMA anywhere), so
+/// exactly like the scalar fixed-point reference loop per lane (no FMA anywhere), so
 /// batched quantized lanes are BIT-IDENTICAL to the scalar pipeline on every
 /// backend (asserted EXPECT_EQ-strict by test_batched.cpp). Shares ownership
 /// of the calibrated model.
@@ -431,7 +369,7 @@ extern template class BatchedEngine<BatchedQuantizedDatapath>;
     simd::Backend backend = simd::active_backend());
 
 /// Batched quantized engine sharing ownership of a calibrated model.
-/// Bit-identical per-lane results to the scalar QuantizedDatapath.
+/// Bit-identical per-lane results to the scalar fixed-point reference.
 [[nodiscard]] BatchedQuantizedInferenceEngine make_batched_engine(
     std::shared_ptr<const QuantizedDfr> model, std::size_t max_lanes,
     simd::Backend backend = simd::active_backend());
@@ -460,50 +398,21 @@ class BasicEngine {
   [[nodiscard]] const P& datapath() const noexcept { return datapath_; }
 
  private:
-  /// Datapaths that own the accumulation step run the padded layout.
-  static constexpr bool kPadded =
-      requires(const P& p, double* r, const double* x) { p.dprr_add(r, x, x); };
-  using Accumulator =
-      std::conditional_t<kPadded, simd::AlignedVector, DprrAccumulator>;
-
-  static Accumulator make_accumulator(std::size_t nx);
-
   P datapath_;
-  std::size_t row_;              // padded_nodes(Nx) when kPadded, else Nx
+  std::size_t row_;              // padded_nodes(Nx)
   simd::AlignedVector j_;       // masked input row, size row_
   simd::AlignedVector x_prev_;  // x(k-1), ping-ponged with x_cur_
   simd::AlignedVector x_cur_;   // x(k)
   Vector r_;                    // finalized features, size Nx*(Nx+1)
   Vector logits_;  // size Ny (empty for features-only datapaths)
-  Accumulator dprr_;  // padded_dprr_size(Nx) doubles when kPadded
+  simd::AlignedVector dprr_;  // padded accumulator, padded_dprr_size(Nx)
 };
 
-using InferenceEngine = BasicEngine<FloatDatapath>;
-using QuantizedInferenceEngine = BasicEngine<QuantizedDatapath>;
 using SimdInferenceEngine = BasicEngine<SimdFloatDatapath>;
 using SimdQuantizedInferenceEngine = BasicEngine<SimdQuantizedDatapath>;
 
-extern template class BasicEngine<FloatDatapath>;
-extern template class BasicEngine<QuantizedDatapath>;
 extern template class BasicEngine<SimdFloatDatapath>;
 extern template class BasicEngine<SimdQuantizedDatapath>;
-
-/// Scalar oracle engines (FloatDatapath / QuantizedDatapath): the references
-/// of the equivalence tests and bench_serving; serving never builds them.
-///
-/// Engine over a loaded float model (snapshots the model into an owned
-/// artifact — safe for any model lifetime).
-[[nodiscard]] InferenceEngine make_engine(const LoadedModel& model);
-
-/// Engine sharing ownership of an immutable artifact.
-[[nodiscard]] InferenceEngine make_engine(ModelArtifactPtr model);
-
-/// Engine over a calibrated quantized model (model must outlive the engine).
-[[nodiscard]] QuantizedInferenceEngine make_engine(const QuantizedDfr& model);
-
-/// Engine sharing ownership of a calibrated quantized model.
-[[nodiscard]] QuantizedInferenceEngine make_engine(
-    std::shared_ptr<const QuantizedDfr> model);
 
 /// SIMD engine over a loaded float model (snapshots the model into an owned
 /// artifact). The default backend is the active one; an explicit backend
@@ -516,7 +425,7 @@ extern template class BasicEngine<SimdQuantizedDatapath>;
     ModelArtifactPtr model, simd::Backend backend = simd::active_backend());
 
 /// SIMD quantized engine over a calibrated model (model must outlive the
-/// engine). Bit-identical results to make_engine(model) — the quantized SIMD
+/// engine). Bit-identical results on every backend — the quantized SIMD
 /// contract.
 [[nodiscard]] SimdQuantizedInferenceEngine make_simd_engine(
     const QuantizedDfr& model, simd::Backend backend = simd::active_backend());

@@ -37,7 +37,9 @@
 // `neon`, read once at first use) or force_backend() (tests) override the
 // choice; forcing an unavailable backend throws CheckError.
 //
-// Equivalence contract vs the scalar FloatDatapath pipeline. Padding
+// Equivalence contract vs the scalar float reference: the dfr/ trajectory
+// pipeline (ModularReservoir::run_series + compute_representation(kDprr),
+// then the OutputLayer readout), which shares no code with serve/. Padding
 // changes where values live, never which operations an element sees or in
 // what order, so the contract is the same as for an unpadded layout:
 //   * The mask stage keeps dot()'s evaluation order per node — start at
@@ -65,13 +67,15 @@
 //
 // Quantized kernel family (SimdQuantizedDatapath) — EXACT contract:
 //   Unlike the float family, every quantized kernel is bit-identical to the
-//   scalar QuantizedDatapath on every backend. Fixed-point rounding makes
-//   that achievable: the vector round-to-format performs the same IEEE-754
-//   operations as FixedPointFormat::quantize lane-wise (scaling by a power
-//   of two is exact whether done by multiply or divide, vector
-//   round-to-nearest matches std::nearbyint under the current rounding
-//   mode, and saturation compares reproduce the scalar clamp), and the
-//   quantized DPRR accumulate deliberately does NOT use FMA — it rounds
+//   scalar fixed-point reference on every backend: the plain per-series loop
+//   of tests/test_support.hpp (Mask::apply, FixedPointFormat::quantize,
+//   DprrAccumulator) with QuantizedDfr::quantized_readout(). Fixed-point
+//   rounding makes that achievable: the vector round-to-format performs the
+//   same IEEE-754 operations as FixedPointFormat::quantize lane-wise
+//   (scaling by a power of two is exact whether done by multiply or divide,
+//   vector round-to-nearest matches std::nearbyint under the current
+//   rounding mode, and saturation compares reproduce the scalar clamp), and
+//   the quantized DPRR accumulate deliberately does NOT use FMA — it rounds
 //   twice per accumulate exactly like DprrAccumulator::add, so no ULP
 //   drift exists to bound. test_simd_quant.cpp asserts EXPECT_EQ-strict
 //   equivalence across formats, nonlinearities, sizes, and backends. (On
@@ -213,11 +217,12 @@ using QuantPreaddNonlinFn = void (*)(const Nonlinearity& f, double a,
 //   * batched_dprr_add uses explicit FMA per accumulate, exactly like the
 //     single-series float dprr_add; batched float features therefore match
 //     the single-series SIMD engine bit-identically per lane and the scalar
-//     FloatDatapath within simd_feature_ulp_bound (same contract as above).
+//     trajectory pipeline within simd_feature_ulp_bound (same contract as
+//     above).
 //   * batched_quant_bchain and batched_dprr_add_exact never use FMA and
 //     round exactly like the scalar fixed-point pipeline: batched quantized
-//     lanes are BIT-IDENTICAL to the scalar QuantizedDatapath on every
-//     backend (asserted EXPECT_EQ-strict by test_batched.cpp).
+//     lanes are BIT-IDENTICAL to the scalar fixed-point reference loop on
+//     every backend (asserted EXPECT_EQ-strict by test_batched.cpp).
 // The elementwise stages (preadd_nonlin, quant_preadd_nonlin,
 // scale_quantize) are reused unchanged over nx*lanes-element SoA blocks —
 // they are pure per-element maps, so the SoA layout cannot change rounding.

@@ -24,7 +24,7 @@
 #include "dfr/trainer.hpp"
 #include "serve/artifact_store.hpp"
 #include "serve/server.hpp"
-#include "util/rng.hpp"
+#include "test_support.hpp"
 
 // ---- allocation instrumentation -------------------------------------------
 // Counting operator new/delete like test_serve.cpp, plus the LARGEST single
@@ -75,24 +75,6 @@ std::string temp_path(const std::string& name) {
   static const std::string suffix =
       "." + std::to_string(::getpid()) + ".dfrm";
   return (std::filesystem::temp_directory_path() / (name + suffix)).string();
-}
-
-/// Deployment-shaped model with random deterministic weights (store behavior
-/// depends on shapes and bytes, never on training).
-LoadedModel make_model(std::size_t nodes, std::size_t channels, int classes,
-                       std::uint64_t seed) {
-  Rng rng(seed);
-  LoadedModel model;
-  model.params = DfrParams{0.1, 0.05};
-  model.mask = Mask(nodes, channels, MaskKind::kBinary, rng);
-  Matrix w(static_cast<std::size_t>(classes), dprr_dim(nodes));
-  for (std::size_t i = 0; i < w.rows(); ++i) {
-    for (std::size_t j = 0; j < w.cols(); ++j) w(i, j) = rng.uniform(-1.0, 1.0);
-  }
-  Vector b(w.rows(), 0.0);
-  for (double& v : b) v = rng.uniform(-0.1, 0.1);
-  model.readout = OutputLayer(std::move(w), std::move(b));
-  return model;
 }
 
 void save_as(const LoadedModel& model, const std::string& path,

@@ -14,7 +14,7 @@
 
 #include "dfr/backprop.hpp"
 #include "dfr/output.hpp"
-#include "util/rng.hpp"
+#include "test_support.hpp"
 
 namespace dfr {
 namespace {
@@ -286,15 +286,6 @@ TEST(TruncatedForwardPass, StoredStateValuesMatchMemoryClaim) {
   EXPECT_EQ(trunc.stored_state_values(), 2 * rig.nx);  // x(T-1), x(T)
   const FullForward full = run_forward_full(reservoir, params, rig.mask, rig.series);
   EXPECT_EQ(full.stored_state_values(), (rig.t_len + 1) * rig.nx);
-}
-
-std::vector<simd::Backend> available_backends() {
-  std::vector<simd::Backend> out;
-  for (simd::Backend b : {simd::Backend::kScalar, simd::Backend::kAvx2,
-                          simd::Backend::kNeon, simd::Backend::kAvx512}) {
-    if (simd::backend_available(b)) out.push_back(b);
-  }
-  return out;
 }
 
 TEST(TruncatedForwardPass, BitEqualToFullForwardOnEveryBackend) {

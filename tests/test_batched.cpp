@@ -2,25 +2,24 @@
 // BatchedEngine + the batched kernel family of serve/simd_kernels.hpp).
 // The contracts under test:
 //   - float lanes land within simd_feature_ulp_bound of the scalar
-//     FloatDatapath pipeline (the float SIMD contract, per lane);
+//     trajectory pipeline (the float SIMD contract, per lane);
 //   - float lanes are BIT-IDENTICAL to the single-series SIMD engine on the
 //     same backend (both run the same per-element kernel operations, just
 //     strided across lanes) — strict on x86-64, like test_simd's
 //     step-stage contract;
 //   - quantized lanes are BIT-IDENTICAL (EXPECT_EQ) to the scalar
-//     QuantizedDatapath — the quantized SIMD contract extends to batching;
+//     fixed-point reference — the quantized SIMD contract extends to
+//     batching;
 //   - lanes are independent: a lane's results do not change with its
 //     batchmates or the batch size;
 //   - infer() performs zero steady-state heap allocations;
 //   - malformed batches throw CheckError before touching any lane.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
-#include <limits>
 #include <memory>
 #include <new>
 #include <span>
@@ -30,8 +29,8 @@
 #include "data/dataset.hpp"
 #include "fixedpoint/quantized_dfr.hpp"
 #include "serve/engine.hpp"
+#include "test_support.hpp"
 #include "util/check.hpp"
-#include "util/rng.hpp"
 
 // ---- allocation instrumentation (same scheme as test_serve.cpp) ------------
 
@@ -59,45 +58,6 @@ namespace {
 
 // ---- helpers ---------------------------------------------------------------
 
-constexpr simd::Backend kAllBackends[] = {
-    simd::Backend::kScalar, simd::Backend::kAvx2, simd::Backend::kNeon,
-    simd::Backend::kAvx512};
-
-std::vector<simd::Backend> available_backends() {
-  std::vector<simd::Backend> backends;
-  for (simd::Backend b : kAllBackends) {
-    if (simd::backend_available(b)) backends.push_back(b);
-  }
-  return backends;
-}
-
-Matrix random_series(std::size_t t_len, std::size_t channels, Rng& rng) {
-  Matrix m(t_len, channels);
-  for (std::size_t k = 0; k < t_len; ++k) {
-    for (std::size_t v = 0; v < channels; ++v) m(k, v) = rng.uniform(-1.0, 1.0);
-  }
-  return m;
-}
-
-/// Deployment-shaped model with random (but deterministic) weights; batched
-/// equivalence depends only on shapes, never on training.
-LoadedModel make_model(std::size_t nodes, std::size_t channels, int classes,
-                       NonlinearityKind kind, std::uint64_t seed) {
-  Rng rng(seed);
-  LoadedModel model;
-  model.params = DfrParams{0.1, 0.05};
-  model.mask = Mask(nodes, channels, MaskKind::kBinary, rng);
-  model.nonlinearity = Nonlinearity(kind);
-  Matrix w(static_cast<std::size_t>(classes), dprr_dim(nodes));
-  for (std::size_t i = 0; i < w.rows(); ++i) {
-    for (std::size_t j = 0; j < w.cols(); ++j) w(i, j) = rng.uniform(-1.0, 1.0);
-  }
-  Vector b(w.rows(), 0.0);
-  for (double& v : b) v = rng.uniform(-0.1, 0.1);
-  model.readout = OutputLayer(std::move(w), std::move(b));
-  return model;
-}
-
 void expect_bit_identical(std::span<const double> expected,
                           std::span<const double> got,
                           const std::string& context, double step = 0.0) {
@@ -116,15 +76,8 @@ void expect_bit_identical(std::span<const double> expected,
   }
 }
 
-constexpr NonlinearityKind kAllKinds[] = {
-    NonlinearityKind::kIdentity,  NonlinearityKind::kMackeyGlass,
-    NonlinearityKind::kTanh,      NonlinearityKind::kSine,
-    NonlinearityKind::kCubic,     NonlinearityKind::kSaturating,
-};
-
-// Below any vector width, odd, prime, and large non-multiples of the NEON
-// (2), AVX2 (4), and AVX-512 (8) widths — for both Nx and the lane count.
-constexpr std::size_t kOddSizes[] = {1, 2, 3, 5, 30, 101};
+// Lane counts below any vector width, odd, prime, and at the NEON (2),
+// AVX-512 (8) and kBatchedMaxLanes widths.
 constexpr std::size_t kLaneCounts[] = {1, 2, 3, 5, 8, 16};
 
 std::vector<const Matrix*> series_ptrs(const std::vector<Matrix>& batch) {
@@ -137,7 +90,7 @@ std::vector<const Matrix*> series_ptrs(const std::vector<Matrix>& batch) {
 // ---- float lanes: ULP bound vs the scalar pipeline --------------------------
 
 // Per lane, batched finalized features stay within the documented float SIMD
-// bound of the scalar FloatDatapath pipeline — for every nonlinearity, odd
+// bound of the scalar trajectory pipeline — for every nonlinearity, odd
 // Nx, odd lane count, and available backend. Each lane carries a distinct
 // series so a lane-index mixup cannot cancel out.
 TEST(BatchedFloatEquivalence, FeaturesWithinUlpBoundAcrossShapesAndLanes) {
@@ -148,7 +101,6 @@ TEST(BatchedFloatEquivalence, FeaturesWithinUlpBoundAcrossShapesAndLanes) {
     for (std::size_t nx : kOddSizes) {
       const LoadedModel model = make_model(nx, kChannels, 3, kind, 7 + nx);
       const ModelArtifactPtr artifact = model.artifact("m");
-      InferenceEngine scalar_engine = make_engine(artifact);
       for (std::size_t lanes : {std::size_t{1}, std::size_t{3},
                                 std::size_t{8}}) {
         std::vector<Matrix> batch;
@@ -156,20 +108,17 @@ TEST(BatchedFloatEquivalence, FeaturesWithinUlpBoundAcrossShapesAndLanes) {
           batch.push_back(random_series(kTLen, kChannels, rng));
         }
         const std::vector<const Matrix*> ptrs = series_ptrs(batch);
+        std::vector<Vector> refs;
+        for (const Matrix& m : batch) {
+          refs.push_back(reference_float_features(model, m));
+        }
         for (simd::Backend b : available_backends()) {
           BatchedInferenceEngine engine =
               make_batched_engine(artifact, lanes, b);
           engine.infer(std::span<const Matrix* const>(ptrs));
           for (std::size_t l = 0; l < lanes; ++l) {
-            const std::span<const double> ref =
-                scalar_engine.features(batch[l]);
-            double max_abs = 0.0;
-            for (double r : ref) max_abs = std::max(max_abs, std::fabs(r));
-            const double tol =
-                (std::nextafter(max_abs,
-                                std::numeric_limits<double>::infinity()) -
-                 max_abs) *
-                static_cast<double>(simd::simd_feature_ulp_bound(kTLen));
+            const Vector& ref = refs[l];
+            const double tol = simd_feature_tolerance(ref, kTLen);
             const std::span<const double> got = engine.lane_features(l);
             ASSERT_EQ(got.size(), ref.size());
             for (std::size_t i = 0; i < ref.size(); ++i) {
@@ -222,11 +171,12 @@ TEST(BatchedFloatEquivalence, BitIdenticalToSingleSeriesSimdEngine) {
   }
 }
 
-// ---- quantized lanes: bit-identity vs the scalar quantized datapath ---------
+// ---- quantized lanes: bit-identity vs the scalar quantized reference --------
 
 // The quantized SIMD contract extends to batching: every lane's features,
-// logits, and label are EXPECT_EQ-identical to the scalar QuantizedDatapath
-// for every nonlinearity, odd Nx, lane count, and available backend.
+// logits, and label are EXPECT_EQ-identical to the scalar fixed-point
+// reference for every nonlinearity, odd Nx, lane count, and available
+// backend.
 TEST(BatchedQuantEquivalence, BitIdenticalToScalarQuantizedDatapath) {
   constexpr std::size_t kTLen = 40;
   constexpr std::size_t kChannels = 3;
@@ -242,7 +192,6 @@ TEST(BatchedQuantEquivalence, BitIdenticalToScalarQuantizedDatapath) {
         calib.add({random_series(kTLen, kChannels, rng), i % 2});
       }
       quantized->calibrate(calib);
-      QuantizedInferenceEngine scalar_engine = make_engine(quantized);
       const double feature_step =
           quantized->config().feature_format.resolution();
       for (std::size_t lanes : {std::size_t{1}, std::size_t{5},
@@ -262,13 +211,15 @@ TEST(BatchedQuantEquivalence, BitIdenticalToScalarQuantizedDatapath) {
                 nonlinearity_name(kind) + " nx=" + std::to_string(nx) +
                 " lanes=" + std::to_string(lanes) +
                 " lane=" + std::to_string(l);
-            expect_bit_identical(scalar_engine.features(batch[l]),
-                                 engine.lane_features(l),
-                                 context + " features", feature_step);
-            expect_bit_identical(scalar_engine.infer(batch[l]),
-                                 engine.lane_logits(l), context + " logits",
-                                 8.0 * feature_step);
-            EXPECT_EQ(engine.lane_label(l), scalar_engine.classify(batch[l]))
+            expect_bit_identical(
+                reference_quantized_features(*quantized, batch[l]),
+                engine.lane_features(l), context + " features", feature_step);
+            expect_bit_identical(
+                reference_quantized_logits(*quantized, batch[l]),
+                engine.lane_logits(l), context + " logits",
+                8.0 * feature_step);
+            EXPECT_EQ(engine.lane_label(l),
+                      reference_quantized_label(*quantized, batch[l]))
                 << context;
           }
         }
@@ -416,7 +367,6 @@ TEST(BatchedEngine, EveryLaneCountUpToMaxWorks) {
   const LoadedModel model =
       make_model(5, 2, 3, NonlinearityKind::kCubic, 77);
   const ModelArtifactPtr artifact = model.artifact("m");
-  InferenceEngine scalar_engine = make_engine(artifact);
   for (std::size_t lanes : kLaneCounts) {
     std::vector<Matrix> batch;
     for (std::size_t l = 0; l < lanes; ++l) {
@@ -426,7 +376,7 @@ TEST(BatchedEngine, EveryLaneCountUpToMaxWorks) {
     BatchedInferenceEngine engine = make_batched_engine(artifact, lanes);
     engine.infer(std::span<const Matrix* const>(ptrs));
     for (std::size_t l = 0; l < lanes; ++l) {
-      EXPECT_EQ(engine.lane_label(l), scalar_engine.classify(batch[l]))
+      EXPECT_EQ(engine.lane_label(l), reference_float_label(model, batch[l]))
           << "lanes=" << lanes << " lane=" << l;
     }
   }

@@ -13,7 +13,7 @@
 #include "dfr/grid_search.hpp"
 #include "dfr/model_io.hpp"
 #include "dfr/trainer.hpp"
-#include "serve/engine.hpp"
+#include "test_support.hpp"
 
 namespace dfr {
 namespace {
@@ -45,12 +45,12 @@ TEST(Integration, FullPipelineOnPaperShapedDataset) {
   const LoadedModel loaded = load_model(path);
   std::remove(path.c_str());
   const auto reference = predict(model, pair.test);
-  // The scalar oracle engine: exact equality against the scalar training-side
-  // predictions; SIMD-vs-scalar tolerance is test_simd.cpp's contract, not
-  // this test's.
-  InferenceEngine oracle = make_engine(loaded);
+  // The loaded model through the scalar trajectory pipeline: exact equality
+  // against the scalar training-side predictions; SIMD-vs-scalar tolerance
+  // is test_simd.cpp's contract, not this test's.
   for (std::size_t i = 0; i < pair.test.size(); ++i) {
-    EXPECT_EQ(oracle.classify(pair.test[i].series), reference[i]) << i;
+    EXPECT_EQ(reference_float_label(loaded, pair.test[i].series), reference[i])
+        << i;
   }
 }
 

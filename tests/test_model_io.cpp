@@ -16,7 +16,7 @@
 #include "data/synth.hpp"
 #include "dfr/model_io.hpp"
 #include "dfr/trainer.hpp"
-#include "serve/engine.hpp"
+#include "test_support.hpp"
 
 namespace dfr {
 namespace {
@@ -85,12 +85,14 @@ TEST_F(ModelIoRoundTrip, FieldsSurviveRoundTrip) {
 TEST_F(ModelIoRoundTrip, PredictionsSurviveRoundTrip) {
   const LoadedModel loaded = load_model(path_);
   const std::vector<int> reference = predict(*model_, pair_->test);
-  // The scalar oracle engine: the reference predictions come from the scalar
-  // training-side pipeline, and this test asserts exact round-trip equality,
-  // not the SIMD ULP contract (test_simd.cpp owns that).
-  InferenceEngine oracle = make_engine(loaded);
+  // The loaded model through the scalar trajectory pipeline: the reference
+  // predictions come from the scalar training-side pipeline, and this test
+  // asserts exact round-trip equality, not the SIMD ULP contract
+  // (test_simd.cpp owns that).
   for (std::size_t i = 0; i < pair_->test.size(); ++i) {
-    EXPECT_EQ(oracle.classify(pair_->test[i].series), reference[i]) << i;
+    EXPECT_EQ(reference_float_label(loaded, pair_->test[i].series),
+              reference[i])
+        << i;
   }
 }
 

@@ -1,21 +1,23 @@
-// Tests for the unified streaming inference engine (serve/engine.hpp):
-// bit-identity against the trajectory-matrix reference pipeline (float and
-// quantized), batch classification determinism for any thread count, input
+// Tests for the streaming inference engine (serve/engine.hpp) on a trained
+// model: the SIMD datapaths against the scalar references of
+// test_support.hpp (float: bit-identical on the scalar backend on x86-64,
+// within simd_feature_ulp_bound elsewhere; quantized: bit-identical on every
+// backend), batch classification determinism for any thread count, input
 // validation, and the zero-steady-state-allocation guarantee.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <new>
 
 #include "data/preprocess.hpp"
 #include "data/synth.hpp"
 #include "dfr/features.hpp"
-#include "dfr/representation.hpp"
 #include "dfr/trainer.hpp"
 #include "serve/engine.hpp"
-#include "util/rng.hpp"
+#include "test_support.hpp"
 
 // ---- allocation instrumentation -------------------------------------------
 // Replace global operator new/delete with counting malloc/free wrappers. The
@@ -43,46 +45,6 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace dfr {
 namespace {
-
-/// The pre-refactor float inference pipeline, kept as the bit-exactness
-/// reference: full (T+1) x Nx trajectory -> batch DPRR -> readout.
-Vector reference_float_features(const LoadedModel& model, const Matrix& series) {
-  const ModularReservoir reservoir(model.mask.nodes(), model.nonlinearity);
-  const Matrix states = reservoir.run_series(model.mask, series, model.params);
-  return compute_representation(RepresentationKind::kDprr, states);
-}
-
-/// The pre-refactor quantized per-series loop, kept as the bit-exactness
-/// reference for the fixed-point datapath.
-Vector reference_quantized_features(const QuantizedDfr& qdfr,
-                                    const Matrix& series) {
-  const LoadedModel& model = qdfr.model();
-  const std::size_t nx = model.mask.nodes();
-  const FixedPointFormat& state_fmt = qdfr.config().state_format;
-  const double inv_state = 1.0 / qdfr.scales().state;
-
-  Vector x_prev(nx, 0.0), x_cur(nx, 0.0);
-  DprrAccumulator dprr(nx);
-  for (std::size_t k = 0; k < series.rows(); ++k) {
-    Vector j = model.mask.apply(series.row(k));
-    for (double& v : j) v = state_fmt.quantize(v * inv_state);
-    double prev_node = x_prev[nx - 1];
-    for (std::size_t n = 0; n < nx; ++n) {
-      const double s = state_fmt.quantize(j[n] + x_prev[n]);
-      const double value =
-          model.params.a * model.nonlinearity.value(s) +
-          model.params.b * prev_node;
-      prev_node = state_fmt.quantize(value);
-      x_cur[n] = prev_node;
-    }
-    dprr.add(x_cur, x_prev);
-    std::swap(x_prev, x_cur);
-  }
-  Vector r = dprr.features();
-  scale(r, dprr_time_scale(series.rows()) / qdfr.scales().feature);
-  qdfr.config().feature_format.quantize(r);
-  return r;
-}
 
 class ServeEngine : public ::testing::Test {
  protected:
@@ -115,48 +77,70 @@ LoadedModel* ServeEngine::model_ = nullptr;
 QuantizedDfr* ServeEngine::quantized_ = nullptr;
 
 TEST_F(ServeEngine, FloatFeaturesBitIdenticalToTrajectoryPipeline) {
-  InferenceEngine engine = make_engine(*model_);
-  for (std::size_t i = 0; i < pair_->test.size(); ++i) {
-    const Matrix& series = pair_->test[i].series;
-    const Vector reference = reference_float_features(*model_, series);
-    const std::span<const double> streamed = engine.features(series);
-    ASSERT_EQ(streamed.size(), reference.size());
-    for (std::size_t k = 0; k < reference.size(); ++k) {
-      ASSERT_EQ(streamed[k], reference[k]) << "sample " << i << " feature " << k;
+  for (simd::Backend b : available_backends()) {
+    SimdInferenceEngine engine = make_simd_engine(*model_, b);
+    for (std::size_t i = 0; i < pair_->test.size(); ++i) {
+      const Matrix& series = pair_->test[i].series;
+      const Vector reference = reference_float_features(*model_, series);
+      const std::span<const double> streamed = engine.features(series);
+      ASSERT_EQ(streamed.size(), reference.size());
+      const double tol = simd_feature_tolerance(reference, series.rows());
+      for (std::size_t k = 0; k < reference.size(); ++k) {
+        if (b == simd::Backend::kScalar && kScalarBackendIsExact) {
+          ASSERT_EQ(streamed[k], reference[k])
+              << "sample " << i << " feature " << k;
+        } else {
+          ASSERT_LE(std::fabs(streamed[k] - reference[k]), tol)
+              << simd::backend_name(b) << " sample " << i << " feature " << k;
+        }
+      }
     }
   }
 }
 
 TEST_F(ServeEngine, FloatLogitsBitIdenticalToReadoutOnReferenceFeatures) {
-  InferenceEngine engine = make_engine(*model_);
-  for (std::size_t i = 0; i < pair_->test.size(); ++i) {
-    const Matrix& series = pair_->test[i].series;
-    const Vector reference =
-        model_->readout.logits(reference_float_features(*model_, series));
-    const std::span<const double> logits = engine.infer(series);
-    ASSERT_EQ(logits.size(), reference.size());
-    for (std::size_t c = 0; c < reference.size(); ++c) {
-      ASSERT_EQ(logits[c], reference[c]) << "sample " << i << " class " << c;
+  for (simd::Backend b : available_backends()) {
+    SimdInferenceEngine engine = make_simd_engine(*model_, b);
+    for (std::size_t i = 0; i < pair_->test.size(); ++i) {
+      const Matrix& series = pair_->test[i].series;
+      const Vector reference = reference_float_logits(*model_, series);
+      const std::span<const double> logits = engine.infer(series);
+      ASSERT_EQ(logits.size(), reference.size());
+      double max_abs = 0.0;
+      for (double z : reference) max_abs = std::max(max_abs, std::fabs(z));
+      for (std::size_t c = 0; c < reference.size(); ++c) {
+        if (b == simd::Backend::kScalar && kScalarBackendIsExact) {
+          ASSERT_EQ(logits[c], reference[c]) << "sample " << i << " class " << c;
+        } else {
+          ASSERT_NEAR(logits[c], reference[c], 1e-9 * std::max(1.0, max_abs))
+              << simd::backend_name(b) << " sample " << i << " class " << c;
+        }
+      }
+      EXPECT_EQ(engine.classify(series),
+                static_cast<int>(std::max_element(reference.begin(),
+                                                  reference.end()) -
+                                 reference.begin()))
+          << simd::backend_name(b) << " sample " << i;
     }
-    EXPECT_EQ(engine.classify(series),
-              static_cast<int>(std::max_element(reference.begin(),
-                                                reference.end()) -
-                               reference.begin()));
   }
 }
 
 TEST_F(ServeEngine, QuantizedFeaturesBitIdenticalToLegacyLoop) {
-  QuantizedInferenceEngine engine = make_engine(*quantized_);
-  for (std::size_t i = 0; i < pair_->test.size(); ++i) {
-    const Matrix& series = pair_->test[i].series;
-    const Vector reference = reference_quantized_features(*quantized_, series);
-    const std::span<const double> streamed = engine.features(series);
-    ASSERT_EQ(streamed.size(), reference.size());
-    for (std::size_t k = 0; k < reference.size(); ++k) {
-      ASSERT_EQ(streamed[k], reference[k]) << "sample " << i << " feature " << k;
+  for (simd::Backend b : available_backends()) {
+    SimdQuantizedInferenceEngine engine = make_simd_engine(*quantized_, b);
+    for (std::size_t i = 0; i < pair_->test.size(); ++i) {
+      const Matrix& series = pair_->test[i].series;
+      const Vector reference = reference_quantized_features(*quantized_, series);
+      const std::span<const double> streamed = engine.features(series);
+      ASSERT_EQ(streamed.size(), reference.size());
+      for (std::size_t k = 0; k < reference.size(); ++k) {
+        ASSERT_EQ(streamed[k], reference[k])
+            << simd::backend_name(b) << " sample " << i << " feature " << k;
+      }
+      EXPECT_EQ(engine.classify(series),
+                quantized_->quantized_readout().predict(reference))
+          << simd::backend_name(b) << " sample " << i;
     }
-    EXPECT_EQ(engine.classify(series),
-              quantized_->quantized_readout().predict(reference));
   }
 }
 
@@ -182,9 +166,8 @@ TEST_F(ServeEngine, ComputeFeaturesMatchesEngineRows) {
   const FeatureMatrix fm =
       compute_features(reservoir, model_->params, model_->mask, pair_->test,
                        RepresentationKind::kDprr, 1);
-  InferenceEngine engine = make_engine(*model_);
   for (std::size_t i = 0; i < pair_->test.size(); ++i) {
-    const std::span<const double> r = engine.features(pair_->test[i].series);
+    const Vector r = reference_float_features(*model_, pair_->test[i].series);
     const std::span<const double> row = fm.features.row(i);
     ASSERT_EQ(r.size(), row.size());
     for (std::size_t k = 0; k < r.size(); ++k) ASSERT_EQ(r[k], row[k]);
@@ -198,14 +181,16 @@ TEST_F(ServeEngine, ClassifyBatchDeterministicAcrossThreadCounts) {
   }
   const std::span<const Matrix> series(batch);
 
-  // Per-series reference from the scalar oracle engine, in order.
+  // Per-series reference labels from the scalar trajectory pipeline, in
+  // order.
   std::vector<int> reference;
-  InferenceEngine engine = make_engine(*model_);
   reference.reserve(batch.size());
-  for (const Matrix& m : batch) reference.push_back(engine.classify(m));
+  for (const Matrix& m : batch) {
+    reference.push_back(reference_float_label(*model_, m));
+  }
 
   // The batch runs the SIMD datapath on the active backend; its labels must
-  // equal the oracle's at every thread count. Determinism under each forced
+  // equal the reference's at every thread count. Determinism under each forced
   // backend is test_simd.cpp's ClassifyBatchDeterministicUnderForcedDispatch.
   for (unsigned threads : {1u, 2u, 3u, 8u, 0u}) {
     EXPECT_EQ(classify_batch(*model_, series, threads), reference)
@@ -288,18 +273,18 @@ TEST_F(ServeEngine, EngineOutlivesTheLoadedModelItWasBuiltFrom) {
   // The ownership contract: engines snapshot the model into a shared
   // artifact, so a stack LoadedModel may die before the engine serves.
   const Matrix& series = pair_->test[0].series;
-  const int expected = make_engine(*model_).classify(series);
+  const int expected = make_simd_engine(*model_).classify(series);
   auto engine = [&] {
     const LoadedModel short_lived{model_->params, model_->mask,
                                   model_->nonlinearity, model_->readout,
                                   model_->chosen_beta};
-    return make_engine(short_lived);
+    return make_simd_engine(short_lived);
   }();  // short_lived is gone; the engine's artifact keeps the weights alive
   EXPECT_EQ(engine.classify(series), expected);
 }
 
 TEST_F(ServeEngine, RejectsMalformedSeries) {
-  InferenceEngine engine = make_engine(*model_);
+  SimdInferenceEngine engine = make_simd_engine(*model_);
   Matrix wrong_channels(5, model_->mask.channels() + 1);
   EXPECT_THROW(engine.classify(wrong_channels), CheckError);
   Matrix empty_series(0, model_->mask.channels());
@@ -307,15 +292,16 @@ TEST_F(ServeEngine, RejectsMalformedSeries) {
 }
 
 TEST_F(ServeEngine, FeaturesOnlyDatapathRejectsInfer) {
-  InferenceEngine engine(FloatDatapath(model_->mask, model_->params,
-                                       model_->nonlinearity));
+  SimdInferenceEngine engine(SimdFloatDatapath(model_->mask, model_->params,
+                                               model_->nonlinearity,
+                                               simd::active_backend()));
   EXPECT_NO_THROW(engine.features(pair_->test[0].series));
   EXPECT_THROW(engine.infer(pair_->test[0].series), CheckError);
 }
 
 TEST_F(ServeEngine, ClassifyIsAllocationFreeInSteadyState) {
-  InferenceEngine engine = make_engine(*model_);
-  QuantizedInferenceEngine quant_engine = make_engine(*quantized_);
+  SimdInferenceEngine engine = make_simd_engine(*model_);
+  SimdQuantizedInferenceEngine quant_engine = make_simd_engine(*quantized_);
   const Matrix& series = pair_->test[0].series;
   // Warmup: scratch was allocated at construction; nothing further is lazy,
   // but run once anyway so any one-time effects are behind us.

@@ -19,7 +19,7 @@
 
 #include "serve/registry.hpp"
 #include "serve/server.hpp"
-#include "util/rng.hpp"
+#include "test_support.hpp"
 
 // ---- allocation instrumentation (same scheme as test_serve.cpp) ------------
 
@@ -57,24 +57,6 @@ using serve::ServerConfig;
 
 // ---- helpers ---------------------------------------------------------------
 
-/// Deployment-shaped model with random (but deterministic) weights; routing
-/// correctness depends only on shapes and weight values, never on training.
-LoadedModel make_model(std::size_t nodes, std::size_t channels, int classes,
-                       std::uint64_t seed) {
-  Rng rng(seed);
-  LoadedModel model;
-  model.params = DfrParams{0.1, 0.05};
-  model.mask = Mask(nodes, channels, MaskKind::kBinary, rng);
-  Matrix w(static_cast<std::size_t>(classes), dprr_dim(nodes));
-  for (std::size_t i = 0; i < w.rows(); ++i) {
-    for (std::size_t j = 0; j < w.cols(); ++j) w(i, j) = rng.uniform(-1.0, 1.0);
-  }
-  Vector b(w.rows(), 0.0);
-  for (double& v : b) v = rng.uniform(-0.1, 0.1);
-  model.readout = OutputLayer(std::move(w), std::move(b));
-  return model;
-}
-
 /// `model` as an artifact named `name` carrying a quantized twin (default
 /// formats, uncalibrated), so both engine variants serve it.
 ModelArtifactPtr twin_artifact(const LoadedModel& model, std::string name) {
@@ -95,14 +77,6 @@ bool wait_until(const Pred& done,
     std::this_thread::sleep_for(std::chrono::microseconds(100));
   }
   return true;
-}
-
-Matrix random_series(std::size_t t_len, std::size_t channels, Rng& rng) {
-  Matrix m(t_len, channels);
-  for (std::size_t k = 0; k < t_len; ++k) {
-    for (std::size_t v = 0; v < channels; ++v) m(k, v) = rng.uniform(-1.0, 1.0);
-  }
-  return m;
 }
 
 void expect_bit_identical(const Vector& expected,
@@ -266,13 +240,12 @@ TEST(EnginePoolTest, QuantizedVariantsServeTheQuantizedTwin) {
   PooledEngine& quant = pool.engine_for(0, artifact, EngineVariant::kQuantized);
   EXPECT_NE(&quant, &pool.engine_for(0, artifact, EngineVariant::kFloat));
   EXPECT_EQ(quant.variant(), EngineVariant::kQuantized);
-  // The quantized engine matches the scalar quantized oracle bit for bit
+  // The quantized engine matches the scalar quantized reference bit for bit
   // (the quantized SIMD exactness contract).
-  QuantizedInferenceEngine direct = make_engine(*quantized);
-  const Vector expected(direct.infer(series).begin(),
-                        direct.infer(series).end());
+  const Vector expected = reference_quantized_logits(*quantized, series);
   expect_bit_identical(expected, quant.infer(series), "quantized");
-  EXPECT_EQ(quant.classify(series), direct.classify(series));
+  EXPECT_EQ(quant.classify(series),
+            reference_quantized_label(*quantized, series));
 
   // A float-only artifact throws the typed error for the quantized variant.
   const ModelArtifactPtr bare = model.artifact("bare");
@@ -339,11 +312,10 @@ TEST(EnginePoolTest, EngineMatchesDirectInference) {
   const Matrix series = random_series(30, 2, rng);
   EnginePool pool(1);
   // Float: bit-identical to LoadedModel::infer (the same SIMD datapath).
-  // Quantized: bit-identical to the scalar quantized oracle.
+  // Quantized: bit-identical to the scalar quantized reference.
   const Vector float_expected = model.infer(series);
-  QuantizedInferenceEngine oracle = make_engine(*artifact->quantized);
-  const std::span<const double> oracle_logits = oracle.infer(series);
-  const Vector quant_expected(oracle_logits.begin(), oracle_logits.end());
+  const Vector quant_expected =
+      reference_quantized_logits(*artifact->quantized, series);
   for (const auto& [variant, expected] :
        {std::pair{EngineVariant::kFloat, float_expected},
         std::pair{EngineVariant::kQuantized, quant_expected}}) {
@@ -398,13 +370,13 @@ std::vector<Matrix>* ServerRouting::series_b_ = nullptr;
 // Concurrent interleaved requests against two registered models return
 // bit-identical logits to direct single-threaded inference for both engine
 // variants, at 1 and 8 workers: LoadedModel::infer() for float requests,
-// the scalar quantized oracle for quantized ones.
+// the scalar quantized reference for quantized ones.
 TEST_F(ServerRouting, InterleavedRequestsBitIdenticalToDirectInfer) {
   ModelRegistry registry;
   registry.register_model(twin_artifact(*model_a_, "a"));
   registry.register_model(twin_artifact(*model_b_, "b"));
-  QuantizedInferenceEngine oracle_a = make_engine(registry.get("a")->quantized);
-  QuantizedInferenceEngine oracle_b = make_engine(registry.get("b")->quantized);
+  const QuantizedDfr& quant_a = *registry.get("a")->quantized;
+  const QuantizedDfr& quant_b = *registry.get("b")->quantized;
 
   constexpr EngineVariant kVariants[] = {EngineVariant::kFloat,
                                          EngineVariant::kQuantized};
@@ -443,9 +415,8 @@ TEST_F(ServerRouting, InterleavedRequestsBitIdenticalToDirectInfer) {
       if (requests[i].variant == EngineVariant::kFloat) {
         expected = (a ? *model_a_ : *model_b_).infer(*requests[i].series);
       } else {
-        const std::span<const double> logits =
-            (a ? oracle_a : oracle_b).infer(*requests[i].series);
-        expected.assign(logits.begin(), logits.end());
+        expected = reference_quantized_logits(a ? quant_a : quant_b,
+                                              *requests[i].series);
       }
       expect_bit_identical(
           expected, result.logits,
@@ -468,10 +439,10 @@ TEST_F(ServerRouting, InterleavedRequestsBitIdenticalToDirectInfer) {
 }
 
 TEST(NullArtifact, ConstructorsThrowTypedErrorInsteadOfDereferencing) {
-  EXPECT_THROW((void)make_engine(ModelArtifactPtr{}), CheckError);
   EXPECT_THROW((void)make_simd_engine(ModelArtifactPtr{}), CheckError);
-  EXPECT_THROW((void)make_engine(std::shared_ptr<const QuantizedDfr>{}),
+  EXPECT_THROW((void)make_simd_engine(std::shared_ptr<const QuantizedDfr>{}),
                CheckError);
+  EXPECT_THROW((void)make_batched_engine(ModelArtifactPtr{}, 4), CheckError);
   const Matrix series(5, 2);
   EXPECT_THROW(
       (void)classify_batch(ModelArtifactPtr{}, std::span<const Matrix>(&series, 1)),
@@ -550,7 +521,7 @@ TEST_F(ServerRouting, SyncClassifyBatchMatchesFreeFunction) {
 
 // Per-request quantized routing: RequestOptions with EngineVariant::kQuantized
 // serves the artifact's calibrated twin, bit-identical to the scalar
-// quantized oracle, interleaved with float traffic on the same worker; a
+// quantized reference, interleaved with float traffic on the same worker; a
 // float-only artifact answers quantized requests with the typed
 // kInvalidArgument.
 TEST_F(ServerRouting, QuantizedRequestsRouteToTheQuantizedTwin) {
@@ -562,11 +533,9 @@ TEST_F(ServerRouting, QuantizedRequestsRouteToTheQuantizedTwin) {
   registry.register_model(model_b_->artifact("b"));  // float-only
   InferenceServer server(registry, {.workers = 2, .queue_capacity = 64});
 
-  QuantizedInferenceEngine direct = make_engine(*quantized);
   for (std::size_t i = 0; i < kSeriesPerModel; ++i) {
     const Matrix& series = (*series_a_)[i];
-    const Vector expected(direct.infer(series).begin(),
-                          direct.infer(series).end());
+    const Vector expected = reference_quantized_logits(*quantized, series);
     InferFuture quant_future =
         server.submit("a", series, {.engine = EngineVariant::kQuantized});
     InferFuture float_future = server.submit("a", series);  // interleave
@@ -574,7 +543,7 @@ TEST_F(ServerRouting, QuantizedRequestsRouteToTheQuantizedTwin) {
     ASSERT_EQ(result.status, RequestStatus::kOk);
     expect_bit_identical(expected, result.logits,
                          "quantized request " + std::to_string(i));
-    EXPECT_EQ(result.label, direct.classify(series));
+    EXPECT_EQ(result.label, reference_quantized_label(*quantized, series));
     EXPECT_EQ(float_future.get().status, RequestStatus::kOk);
   }
   // Quantized request against a float-only artifact: typed client error.

@@ -2,11 +2,12 @@
 // SimdFloatDatapath): runtime dispatch and forcing (programmatic + DFR_SIMD
 // env), the exact-match contract on the mask/preadd stage, the padded DPRR
 // kernels bit for bit around the row alignment (with poisoned pad lanes
-// that must never reach features or logits), ULP-bounded
-// equivalence of finalized features against the scalar pipeline across every
-// nonlinearity and odd Nx sizes (Nx < vector width, Nx not a multiple of it),
-// classify_batch determinism under forced dispatch, the LoadedModel engine
-// knob, and the zero-steady-state-allocation guarantee for the SIMD engine.
+// that must never reach features or logits), ULP-bounded equivalence of
+// finalized features against the scalar trajectory pipeline of
+// test_support.hpp across every nonlinearity and odd Nx sizes (Nx < vector
+// width, Nx not a multiple of it), classify_batch determinism under forced
+// dispatch, LoadedModel::infer, and the zero-steady-state-allocation
+// guarantee for the SIMD engine.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,8 +22,8 @@
 #include <vector>
 
 #include "serve/engine.hpp"
+#include "test_support.hpp"
 #include "util/check.hpp"
-#include "util/rng.hpp"
 
 // ---- allocation instrumentation (same scheme as test_serve.cpp) ------------
 
@@ -65,66 +66,6 @@ std::uint64_t ordered_bits(double x) {
   const std::uint64_t ua = ordered_bits(a), ub = ordered_bits(b);
   return ua > ub ? ua - ub : ub - ua;
 }
-
-constexpr simd::Backend kAllBackends[] = {
-    simd::Backend::kScalar, simd::Backend::kAvx2, simd::Backend::kNeon,
-    simd::Backend::kAvx512};
-
-std::vector<simd::Backend> available_backends() {
-  std::vector<simd::Backend> backends;
-  for (simd::Backend b : kAllBackends) {
-    if (simd::backend_available(b)) backends.push_back(b);
-  }
-  return backends;
-}
-
-/// Restores the active backend on scope exit so force_backend tests cannot
-/// leak state into later tests (gtest runs them in declaration order).
-class ScopedBackend {
- public:
-  ScopedBackend() : saved_(simd::active_backend()) {}
-  ~ScopedBackend() { simd::force_backend(saved_); }
-
- private:
-  simd::Backend saved_;
-};
-
-Matrix random_series(std::size_t t_len, std::size_t channels, Rng& rng) {
-  Matrix m(t_len, channels);
-  for (std::size_t k = 0; k < t_len; ++k) {
-    for (std::size_t v = 0; v < channels; ++v) m(k, v) = rng.uniform(-1.0, 1.0);
-  }
-  return m;
-}
-
-/// Deployment-shaped model with random (but deterministic) weights; serving
-/// equivalence depends only on shapes, never on training.
-LoadedModel make_model(std::size_t nodes, std::size_t channels, int classes,
-                       NonlinearityKind kind, std::uint64_t seed) {
-  Rng rng(seed);
-  LoadedModel model;
-  model.params = DfrParams{0.1, 0.05};
-  model.mask = Mask(nodes, channels, MaskKind::kBinary, rng);
-  model.nonlinearity = Nonlinearity(kind);
-  Matrix w(static_cast<std::size_t>(classes), dprr_dim(nodes));
-  for (std::size_t i = 0; i < w.rows(); ++i) {
-    for (std::size_t j = 0; j < w.cols(); ++j) w(i, j) = rng.uniform(-1.0, 1.0);
-  }
-  Vector b(w.rows(), 0.0);
-  for (double& v : b) v = rng.uniform(-0.1, 0.1);
-  model.readout = OutputLayer(std::move(w), std::move(b));
-  return model;
-}
-
-constexpr NonlinearityKind kAllKinds[] = {
-    NonlinearityKind::kIdentity,  NonlinearityKind::kMackeyGlass,
-    NonlinearityKind::kTanh,      NonlinearityKind::kSine,
-    NonlinearityKind::kCubic,     NonlinearityKind::kSaturating,
-};
-
-// Odd shapes: below any vector width, odd, prime, and large non-multiples
-// of the NEON (2), AVX2 (4), and AVX-512 (8) widths.
-constexpr std::size_t kOddSizes[] = {1, 2, 3, 5, 30, 101};
 
 // Sizes around the padded layout's row alignment (8): below it, at it, one
 // past it, and shapes that end in a partial vector.
@@ -505,8 +446,8 @@ TEST(SimdKernels, StepStageMatchesScalarReservoir) {
 
 // Finalized features (full mask -> step -> DPRR -> finalize pipeline) for
 // every nonlinearity and odd Nx, on every available backend, against the
-// FloatDatapath scalar pipeline: |diff| <= simd_feature_ulp_bound(T) ulps of
-// the largest-magnitude scalar feature (see simd_kernels.hpp).
+// scalar trajectory pipeline: |diff| <= simd_feature_ulp_bound(T) ulps of
+// the largest-magnitude reference feature (see simd_kernels.hpp).
 TEST(SimdEquivalence, FeaturesWithinUlpBoundAcrossNonlinearitiesAndSizes) {
   const DfrParams params{0.1, 0.05};
   constexpr std::size_t kTLen = 40;
@@ -518,28 +459,19 @@ TEST(SimdEquivalence, FeaturesWithinUlpBoundAcrossNonlinearitiesAndSizes) {
       const Mask mask(nx, kChannels, MaskKind::kBinary, rng);
       const Matrix series = random_series(kTLen, kChannels, rng);
 
-      InferenceEngine scalar_engine(FloatDatapath(mask, params, f));
-      const std::span<const double> ref = scalar_engine.features(series);
-      double max_abs = 0.0;
-      for (double r : ref) max_abs = std::max(max_abs, std::fabs(r));
-      // ulp(max|r|) * documented bound, as an absolute tolerance.
-      const double tol =
-          (std::nextafter(max_abs, std::numeric_limits<double>::infinity()) -
-           max_abs) *
-          static_cast<double>(simd::simd_feature_ulp_bound(kTLen));
+      const Vector ref = reference_float_features(mask, params, f, series);
+      const double tol = simd_feature_tolerance(ref, kTLen);
 
       for (simd::Backend b : available_backends()) {
         SimdInferenceEngine engine(SimdFloatDatapath(mask, params, f, b));
         const std::span<const double> got = engine.features(series);
         ASSERT_EQ(got.size(), ref.size());
         for (std::size_t i = 0; i < ref.size(); ++i) {
-          if (b == simd::Backend::kScalar) {
-#if defined(__x86_64__) || defined(_M_X64)
+          if (b == simd::Backend::kScalar && kScalarBackendIsExact) {
             // The scalar backend performs identical operations: bit-exact.
             ASSERT_EQ(got[i], ref[i])
                 << nonlinearity_name(kind) << " nx=" << nx << " i=" << i;
             continue;
-#endif
           }
           ASSERT_LE(std::fabs(got[i] - ref[i]), tol)
               << simd::backend_name(b) << " " << nonlinearity_name(kind)
@@ -555,36 +487,34 @@ TEST(SimdEquivalence, LogitsAndClassifyMatchFloatEngine) {
   const LoadedModel model =
       make_model(30, 2, 4, NonlinearityKind::kIdentity, 77);
   Rng rng(78);
-  InferenceEngine scalar_engine = make_engine(model);
   for (int sample = 0; sample < 8; ++sample) {
     const Matrix series = random_series(50, 2, rng);
-    const std::span<const double> ref = scalar_engine.infer(series);
-    const Vector ref_copy(ref.begin(), ref.end());
+    const Vector ref = reference_float_logits(model, series);
+    const int ref_label = reference_float_label(model, series);
     for (simd::Backend b : available_backends()) {
       SimdInferenceEngine engine = make_simd_engine(model, b);
       const std::span<const double> got = engine.infer(series);
-      ASSERT_EQ(got.size(), ref_copy.size());
+      ASSERT_EQ(got.size(), ref.size());
       double max_abs = 0.0;
-      for (double z : ref_copy) max_abs = std::max(max_abs, std::fabs(z));
-      for (std::size_t c = 0; c < ref_copy.size(); ++c) {
-        ASSERT_NEAR(got[c], ref_copy[c], 1e-9 * std::max(1.0, max_abs))
+      for (double z : ref) max_abs = std::max(max_abs, std::fabs(z));
+      for (std::size_t c = 0; c < ref.size(); ++c) {
+        ASSERT_NEAR(got[c], ref[c], 1e-9 * std::max(1.0, max_abs))
             << simd::backend_name(b) << " sample " << sample << " class " << c;
       }
-      EXPECT_EQ(engine.classify(series), scalar_engine.classify(series))
+      EXPECT_EQ(engine.classify(series), ref_label)
           << simd::backend_name(b) << " sample " << sample;
     }
   }
 }
 
 // LoadedModel::infer runs the SIMD float datapath: bit-identical to the SIMD
-// engine on the active backend, within the ULP contract of the scalar oracle.
+// engine on the active backend, within the ULP contract of the scalar
+// trajectory pipeline.
 TEST(SimdEquivalence, LoadedModelInferMatchesTheOracle) {
   const LoadedModel model = make_model(20, 2, 3, NonlinearityKind::kTanh, 5);
   Rng rng(6);
   const Matrix series = random_series(30, 2, rng);
-  InferenceEngine oracle = make_engine(model);
-  const std::span<const double> oracle_z = oracle.infer(series);
-  const Vector scalar(oracle_z.begin(), oracle_z.end());
+  const Vector scalar = reference_float_logits(model, series);
   SimdInferenceEngine engine = make_simd_engine(model);
   const std::span<const double> simd_z = engine.infer(series);
   const Vector infer_z = model.infer(series);
@@ -594,7 +524,7 @@ TEST(SimdEquivalence, LoadedModelInferMatchesTheOracle) {
     EXPECT_EQ(simd_z[c], infer_z[c]);  // the same datapath and backend
     EXPECT_NEAR(scalar[c], infer_z[c], 1e-9 * std::max(1.0, std::fabs(scalar[c])));
   }
-  EXPECT_EQ(model.classify(series), oracle.classify(series));
+  EXPECT_EQ(model.classify(series), reference_float_label(model, series));
   EXPECT_EQ(model.classify(series), engine.classify(series));
 }
 
@@ -608,10 +538,11 @@ TEST(SimdBatch, ClassifyBatchDeterministicUnderForcedDispatch) {
   for (int i = 0; i < 24; ++i) batch.push_back(random_series(25, 2, rng));
   const std::span<const Matrix> series(batch);
 
-  // Scalar-engine reference predictions, per series.
+  // Scalar reference predictions, per series.
   std::vector<int> scalar_ref;
-  InferenceEngine scalar_engine = make_engine(model);
-  for (const Matrix& m : batch) scalar_ref.push_back(scalar_engine.classify(m));
+  for (const Matrix& m : batch) {
+    scalar_ref.push_back(reference_float_label(model, m));
+  }
 
   ScopedBackend guard;
   for (simd::Backend b : available_backends()) {

@@ -2,13 +2,14 @@
 // the quantized kernel family of serve/simd_kernels.hpp). The contract is
 // STRICTER than the float SIMD suite's: fixed-point rounding is exact, so
 // quantized SIMD results are asserted BIT-IDENTICAL (EXPECT_EQ) to the
-// scalar QuantizedDatapath — across every FixedPointFormat configuration,
-// every nonlinearity, odd Nx sizes, and every available backend, at the
-// stage level (vector round-to-format) and end to end (features, logits,
-// classify, batch, QuantizedDfr knob). Also pins the zero-steady-state-
-// allocation guarantee for the SIMD quantized engine. (On aarch64 the
-// scalar reference TU may FMA-contract the B-chain; the strict assertions
-// are x86-64's, mirroring test_simd's step-stage contract.)
+// scalar fixed-point reference loop of test_support.hpp — across every
+// FixedPointFormat configuration, every nonlinearity, odd Nx sizes, and
+// every available backend, at the stage level (vector round-to-format) and
+// end to end (features, logits, classify, batch, quantized_accuracy). Also
+// pins the zero-steady-state-allocation guarantee for the SIMD quantized
+// engine. (On aarch64 the scalar reference may FMA-contract the B-chain;
+// the strict assertions are x86-64's, mirroring test_simd's step-stage
+// contract.)
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,8 +25,8 @@
 
 #include "dfr/metrics.hpp"
 #include "serve/engine.hpp"
+#include "test_support.hpp"
 #include "util/check.hpp"
-#include "util/rng.hpp"
 
 // ---- allocation instrumentation (same scheme as test_serve.cpp) ------------
 
@@ -50,63 +51,6 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace dfr {
 namespace {
-
-std::vector<simd::Backend> available_backends() {
-  std::vector<simd::Backend> backends;
-  for (simd::Backend b : {simd::Backend::kScalar, simd::Backend::kAvx2,
-                          simd::Backend::kNeon, simd::Backend::kAvx512}) {
-    if (simd::backend_available(b)) backends.push_back(b);
-  }
-  return backends;
-}
-
-/// Restores the active backend on scope exit so force_backend tests cannot
-/// leak state into later tests.
-class ScopedBackend {
- public:
-  ScopedBackend() : saved_(simd::active_backend()) {}
-  ~ScopedBackend() { simd::force_backend(saved_); }
-
- private:
-  simd::Backend saved_;
-};
-
-Matrix random_series(std::size_t t_len, std::size_t channels, Rng& rng) {
-  Matrix m(t_len, channels);
-  for (std::size_t k = 0; k < t_len; ++k) {
-    for (std::size_t v = 0; v < channels; ++v) m(k, v) = rng.uniform(-1.0, 1.0);
-  }
-  return m;
-}
-
-/// Deployment-shaped model with random (but deterministic) weights; serving
-/// equivalence depends only on shapes, never on training.
-LoadedModel make_model(std::size_t nodes, std::size_t channels, int classes,
-                       NonlinearityKind kind, std::uint64_t seed) {
-  Rng rng(seed);
-  LoadedModel model;
-  model.params = DfrParams{0.1, 0.05};
-  model.mask = Mask(nodes, channels, MaskKind::kBinary, rng);
-  model.nonlinearity = Nonlinearity(kind);
-  Matrix w(static_cast<std::size_t>(classes), dprr_dim(nodes));
-  for (std::size_t i = 0; i < w.rows(); ++i) {
-    for (std::size_t j = 0; j < w.cols(); ++j) w(i, j) = rng.uniform(-1.0, 1.0);
-  }
-  Vector b(w.rows(), 0.0);
-  for (double& v : b) v = rng.uniform(-0.1, 0.1);
-  model.readout = OutputLayer(std::move(w), std::move(b));
-  return model;
-}
-
-constexpr NonlinearityKind kAllKinds[] = {
-    NonlinearityKind::kIdentity,  NonlinearityKind::kMackeyGlass,
-    NonlinearityKind::kTanh,      NonlinearityKind::kSine,
-    NonlinearityKind::kCubic,     NonlinearityKind::kSaturating,
-};
-
-// Odd shapes: below any vector width, odd, prime, and large non-multiples
-// of the NEON (2), AVX2 (4), and AVX-512 (8) widths.
-constexpr std::size_t kOddSizes[] = {1, 2, 3, 5, 30, 101};
 
 /// Format sweeps for QuantizedInferenceConfig: the paper-default 16b/24b
 /// pairing, a narrow 8b-ish deployment, an asymmetric wide-feature config,
@@ -276,7 +220,7 @@ TEST(QuantKernels, DprrAddExactBitExactAcrossBackends) {
 // ---- pipeline level: strict equivalence across everything ------------------
 
 // The headline contract: SimdQuantizedDatapath features and logits are
-// EXPECT_EQ-identical to the scalar QuantizedDatapath for every format
+// EXPECT_EQ-identical to the scalar fixed-point reference for every format
 // configuration, nonlinearity, odd Nx, and available backend.
 TEST(QuantEquivalence, FeaturesAndLogitsBitIdenticalAcrossEverything) {
   constexpr std::size_t kTLen = 40;
@@ -295,13 +239,9 @@ TEST(QuantEquivalence, FeaturesAndLogitsBitIdenticalAcrossEverything) {
         quantized.calibrate(calib);
         const Matrix series = random_series(kTLen, kChannels, rng);
 
-        QuantizedInferenceEngine scalar_engine = make_engine(quantized);
-        const std::span<const double> ref_features =
-            scalar_engine.features(series);
-        const Vector ref_copy(ref_features.begin(), ref_features.end());
-        const Vector ref_logits(scalar_engine.infer(series).begin(),
-                                scalar_engine.infer(series).end());
-        const int ref_label = scalar_engine.classify(series);
+        const Vector ref_copy = reference_quantized_features(quantized, series);
+        const Vector ref_logits = reference_quantized_logits(quantized, series);
+        const int ref_label = reference_quantized_label(quantized, series);
 
         // One flipped feature step amplifies through the readout row; 8x
         // is a generous bound for the few ties contraction could flip.
@@ -335,10 +275,8 @@ TEST(QuantEquivalence, SharedOwnershipEngineOutlivesModel) {
         make_model(10, 2, 3, NonlinearityKind::kSaturating, 6);
     auto shared = std::make_shared<const QuantizedDfr>(
         model, QuantizedInferenceConfig{});
-    QuantizedInferenceEngine scalar_engine = make_engine(shared);
-    expected.assign(scalar_engine.infer(series).begin(),
-                    scalar_engine.infer(series).end());
-    label = scalar_engine.classify(series);
+    expected = reference_quantized_logits(*shared, series);
+    label = reference_quantized_label(*shared, series);
     return make_simd_engine(std::move(shared));
   }();  // the QuantizedDfr is only owned by the engines now
   expect_bit_identical(expected, engine.infer(series), "shared ownership",
@@ -362,10 +300,11 @@ TEST(QuantBatch, ClassifyBatchDeterministicUnderForcedDispatch) {
   for (int i = 0; i < 24; ++i) batch.push_back(random_series(25, 2, rng));
   const std::span<const Matrix> series(batch);
 
-  // Scalar-engine reference predictions, per series.
+  // Scalar reference predictions, per series.
   std::vector<int> scalar_ref;
-  QuantizedInferenceEngine scalar_engine = make_engine(quantized);
-  for (const Matrix& m : batch) scalar_ref.push_back(scalar_engine.classify(m));
+  for (const Matrix& m : batch) {
+    scalar_ref.push_back(reference_quantized_label(quantized, m));
+  }
 
   ScopedBackend guard;
   for (simd::Backend b : available_backends()) {
@@ -394,12 +333,11 @@ TEST(QuantBatch, QuantizedAccuracyAgreesAcrossEngineKinds) {
     data.add({random_series(20, 2, rng), i % 3});
   }
   // quantized_accuracy runs the SIMD quantized engine; by the exactness
-  // contract it must score exactly what the scalar oracle engine scores.
-  QuantizedInferenceEngine oracle = make_engine(quantized);
+  // contract it must score exactly what the scalar reference scores.
   std::vector<int> predicted;
   std::vector<int> actual;
   for (std::size_t i = 0; i < data.size(); ++i) {
-    predicted.push_back(oracle.classify(data[i].series));
+    predicted.push_back(reference_quantized_label(quantized, data[i].series));
     actual.push_back(data[i].label);
   }
   const double scalar = accuracy(predicted, actual);

@@ -10,9 +10,9 @@
 #include "data/preprocess.hpp"
 #include "data/synth.hpp"
 #include "dfr/grid_search.hpp"
+#include "dfr/features.hpp"
 #include "dfr/trainer.hpp"
-#include "serve/engine.hpp"
-#include "util/rng.hpp"
+#include "test_support.hpp"
 
 namespace dfr {
 namespace {
@@ -193,27 +193,6 @@ GridSearchConfig small_grid_config() {
 // dispatched kernel table with the exact (no-FMA) DPRR accumulate, so every
 // result must be EXPECT_EQ-identical on every backend the host runs.
 
-std::vector<simd::Backend> available_backends() {
-  std::vector<simd::Backend> out;
-  for (simd::Backend b : {simd::Backend::kScalar, simd::Backend::kAvx2,
-                          simd::Backend::kNeon, simd::Backend::kAvx512}) {
-    if (simd::backend_available(b)) out.push_back(b);
-  }
-  return out;
-}
-
-/// Restores the active backend on scope exit.
-class ScopedBackend {
- public:
-  ScopedBackend() : saved_(simd::active_backend()) {}
-  ~ScopedBackend() { simd::force_backend(saved_); }
-  ScopedBackend(const ScopedBackend&) = delete;
-  ScopedBackend& operator=(const ScopedBackend&) = delete;
-
- private:
-  simd::Backend saved_;
-};
-
 void expect_same_model(const TrainResult& want, const TrainResult& got,
                        const std::string& where) {
   EXPECT_EQ(want.params.a, got.params.a) << where;
@@ -297,8 +276,9 @@ TEST(TrainingAcrossBackends, GridLevelIsBitIdentical) {
 }
 
 TEST(TrainingAcrossBackends, FeaturesMatchTheScalarEngine) {
-  // compute_features used to drive the scalar FloatDatapath engine; the
-  // streaming forward must reproduce its rows exactly on every backend.
+  // compute_features runs the streaming forward with the exact DPRR
+  // accumulate: it must reproduce the scalar trajectory pipeline's rows
+  // exactly on every backend.
   ScopedBackend guard;
   const DatasetPair pair = easy_task(43);
   Rng rng(5);
@@ -307,13 +287,13 @@ TEST(TrainingAcrossBackends, FeaturesMatchTheScalarEngine) {
     const Nonlinearity f(NonlinearityKind::kMackeyGlass, 2.0);
     const ModularReservoir reservoir(nodes, f);
     const DfrParams params{0.4, 0.3};
-    InferenceEngine engine(FloatDatapath(mask, params, f));
     for (simd::Backend backend : available_backends()) {
       simd::force_backend(backend);
       const FeatureMatrix fm = compute_features(
           reservoir, params, mask, pair.train, RepresentationKind::kDprr, 2);
       for (std::size_t i = 0; i < pair.train.size(); ++i) {
-        const auto want = engine.features(pair.train[i].series);
+        const Vector want =
+            reference_float_features(mask, params, f, pair.train[i].series);
         const auto got = fm.features.row(i);
         EXPECT_TRUE(std::equal(want.begin(), want.end(), got.begin()))
             << simd::backend_name(backend) << " nx=" << nodes << " row " << i;
