@@ -11,9 +11,12 @@
 //   * the single-series SIMD serving path stage by stage (mask, preadd +
 //     nonlinearity, B-chain, DPRR accumulate, readout) and whole, on every
 //     backend this host runs (chosen with simd::force_backend), at
-//     Nx in {7, 30, 31, 50}. Backend ids in the case names follow
-//     simd::Backend (0 scalar, 1 avx2, 2 neon, 3 avx512) and the label
-//     names the backend. Run e.g. `bench_micro --benchmark_filter=BM_Simd`.
+//     Nx in {7, 30, 31, 50};
+//   * the batched SoA DPRR accumulate at Nx in {30, 50} and 1/2/4/8/16 lanes
+//     (BM_SimdBatchedDprrAdd/<backend>/<Nx>/<lanes>).
+// Backend ids in the case names follow simd::Backend (0 scalar, 1 avx2,
+// 2 neon, 3 avx512) and the label names the backend. Run e.g.
+// `bench_micro --benchmark_filter=BM_Simd`.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -273,7 +276,8 @@ void BM_SimdBChain(benchmark::State& state) {
   const simd::AlignedVector v = fx.x_cur;
   for (auto _ : state) {
     std::copy(v.begin(), v.end(), fx.x_cur.begin());
-    fx.datapath.bchain(fx.x_prev[fx.nx - 1], fx.x_cur);
+    simd::float_bchain(fx.model->params.b, fx.x_prev[fx.nx - 1],
+                       fx.x_cur.data(), fx.nx);
     benchmark::DoNotOptimize(fx.x_cur.data());
     benchmark::ClobberMemory();
   }
@@ -292,15 +296,21 @@ void BM_SimdDprrAdd(benchmark::State& state) {
   }
 }
 
-void BM_SimdDprrAddExact(benchmark::State& state) {
+// The batched SoA DPRR accumulate at one lane count (range(2)): x_k and
+// x_km1 hold Nx*lanes states and r holds dprr_dim(Nx)*lanes accumulators,
+// as BatchedEngine keeps them. Per-series cost is the time over lanes.
+void BM_SimdBatchedDprrAdd(benchmark::State& state) {
   select_backend(state);
-  StageFixture fx(static_cast<std::size_t>(state.range(1)),
-                  simd::active_backend());
+  const auto nx = static_cast<std::size_t>(state.range(1));
+  const auto lanes = static_cast<std::size_t>(state.range(2));
+  Rng rng(41);
+  Vector x_k(nx * lanes), x_km1(nx * lanes), r(dprr_dim(nx) * lanes, 0.0);
+  for (double& v : x_k) v = 0.1 * rng.normal();
+  for (double& v : x_km1) v = 0.1 * rng.normal();
   const simd::Kernels& kernels = simd::active_kernels();
   for (auto _ : state) {
-    kernels.dprr_add_exact(fx.acc.data(), fx.x_cur.data(), fx.x_prev.data(),
-                           fx.nx, fx.stride);
-    benchmark::DoNotOptimize(fx.acc.data());
+    kernels.batched_dprr_add(r.data(), x_k.data(), x_km1.data(), nx, lanes);
+    benchmark::DoNotOptimize(r.data());
     benchmark::ClobberMemory();
   }
 }
@@ -311,7 +321,7 @@ void BM_SimdReadout(benchmark::State& state) {
   select_backend(state);
   StageFixture fx(static_cast<std::size_t>(state.range(1)),
                   simd::active_backend());
-  const OutputLayer& readout = *fx.datapath.readout();
+  const OutputLayer& readout = fx.datapath.readout();
   for (auto _ : state) {
     readout.logits_into(fx.features, fx.logits);
     benchmark::DoNotOptimize(fx.logits.data());
@@ -456,7 +466,8 @@ void BM_TrainRidgeSweep(benchmark::State& state) {
 }
 
 /// Registers every stage case for each backend this host runs, at
-/// Nx in {7, 30, 31, 50}, and every training stage at the tune shapes.
+/// Nx in {7, 30, 31, 50}, the batched accumulate at each lane count, and
+/// every training stage at the tune shapes.
 void register_stage_benchmarks() {
   const std::pair<const char*, void (*)(benchmark::State&)> train_stages[] = {
       {"BM_TrainForward", BM_TrainForward},
@@ -485,7 +496,6 @@ void register_stage_benchmarks() {
       {"BM_SimdPreaddNonlin", BM_SimdPreaddNonlin},
       {"BM_SimdBChain", BM_SimdBChain},
       {"BM_SimdDprrAdd", BM_SimdDprrAdd},
-      {"BM_SimdDprrAddExact", BM_SimdDprrAddExact},
       {"BM_SimdReadout", BM_SimdReadout},
       {"BM_SimdInfer", BM_SimdInfer},
   };
@@ -499,6 +509,20 @@ void register_stage_benchmarks() {
       if (!simd::backend_available(backend)) continue;
       for (std::int64_t nx : {7, 30, 31, 50}) {
         bench->Args({static_cast<std::int64_t>(backend), nx});
+      }
+    }
+  }
+
+  benchmark::internal::Benchmark* batched =
+      benchmark::RegisterBenchmark("BM_SimdBatchedDprrAdd",
+                                   BM_SimdBatchedDprrAdd);
+  for (simd::Backend backend :
+       {simd::Backend::kScalar, simd::Backend::kAvx2, simd::Backend::kNeon,
+        simd::Backend::kAvx512}) {
+    if (!simd::backend_available(backend)) continue;
+    for (std::int64_t nx : {30, 50}) {
+      for (std::int64_t lanes : {1, 2, 4, 8, 16}) {
+        batched->Args({static_cast<std::int64_t>(backend), nx, lanes});
       }
     }
   }

@@ -383,7 +383,7 @@ int main(int argc, char** argv) {
          }});
     datapaths.push_back(
         {"simd-" + std::string(simd::backend_name(simd::active_backend())),
-         run_single_stream(make_simd_engine(model), batch, repeats),
+         run_single_stream(make_simd_engine(artifact), batch, repeats),
          [&](unsigned threads) {
            return classify_batch(model, std::span<const Matrix>(batch),
                                  threads);

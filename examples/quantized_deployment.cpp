@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
   // and classify_batch both run the one float serving datapath (SIMD, on the
   // best runtime-dispatched backend; DFR_SIMD overrides), so the per-series
   // loop and the batch agree exactly.
-  SimdInferenceEngine engine = make_simd_engine(loaded);
+  SimdInferenceEngine engine = make_simd_engine(loaded.artifact());
   std::size_t agree = 0;
   for (const Sample& s : data.test.samples()) {
     if (engine.classify(s.series) == s.label) ++agree;
@@ -90,10 +90,10 @@ int main(int argc, char** argv) {
             << (batch_agree == agree ? "yes" : "NO") << '\n';
 
   // 6. Quantized serving on the SIMD datapath, the one quantized serving
-  // datapath. Unlike the float family's ULP contract, the quantized SIMD
-  // kernels are bit-identical to the scalar fixed-point pipeline on every
-  // backend, so the dispatched engine must label the whole split exactly
-  // like the same datapath on the portable kernels (Backend::kScalar).
+  // datapath. Like the float kernels, the quantized SIMD kernels are
+  // bit-identical to their scalar pipeline on every backend, so the
+  // dispatched engine must label the whole split exactly like the same
+  // datapath on the portable kernels (Backend::kScalar).
   QuantizedDfr qdfr(loaded, QuantizedInferenceConfig{});
   qdfr.calibrate(data.train);
   SimdQuantizedInferenceEngine quant_engine = make_simd_engine(qdfr);

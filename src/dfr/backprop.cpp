@@ -159,16 +159,10 @@ void StreamingForward::stream(const DfrParams& params, const Matrix& series) {
     double* x = states_.data() + next * stride_;
     // j(k) = M u(k), nodes across the vector lanes, in dot()'s order.
     kernels_->batched_mask(u, 1, channels_, mask_t_.data(), j, stride_);
-    // x(k)_n = A f~(j(k)_n + x(k-1)_n) + B x(k)_{n-1}: the data-parallel
-    // half, then the serial B-chain with ModularReservoir::step's operation
-    // order (one multiply, one add per node), head x(k-1)_{Nx}.
-    kernels_->preadd_nonlin(f_, params.a, j, x_prev, x, nx_);
-    double prev_node = x_prev[nx_ - 1];
-    for (std::size_t n = 0; n < nx_; ++n) {
-      prev_node = x[n] + params.b * prev_node;
-      x[n] = prev_node;
-    }
-    kernels_->dprr_add_exact(dprr_.data(), x, x_prev, nx_, stride_);
+    // x(k)_n = A f~(j(k)_n + x(k-1)_n) + B x(k)_{n-1}, the serving engine's
+    // step.
+    simd::float_step(*kernels_, f_, params, j, x_prev, x, nx_);
+    kernels_->dprr_add(dprr_.data(), x, x_prev, nx_, stride_);
     cur = next;
     j_slot = j_slot + 1 == kept_ ? 0 : j_slot + 1;
   }

@@ -21,13 +21,14 @@
 //
 // The streaming forward runs on the runtime-dispatched kernel table of
 // serve/simd_kernels.hpp, over its padded single-series layout: per time step
-// batched_mask, preadd_nonlin, the scalar B-chain, then dprr_add_exact (two
-// roundings per accumulate, never FMA). Every stage performs the scalar
-// pipeline's operations in the same order (mask.apply / ModularReservoir::
-// step / DprrAccumulator::add), so its dprr, tail states and tail inputs are
-// bit-identical to run_forward_full on every backend, and so is everything
-// trained from them. run_forward_full, ModularReservoir::run and
-// dprr_from_states stay scalar: they are the oracle, and the full-BPTT path.
+// batched_mask, simd::float_step (preadd_nonlin, then the scalar B-chain),
+// then dprr_add — the float serving engine's stages. Every stage performs
+// the scalar pipeline's operations in the same order (mask.apply /
+// ModularReservoir::step / DprrAccumulator::add), so its dprr, tail states
+// and tail inputs are bit-identical to run_forward_full on every backend, and
+// so is everything trained from them. It also backs LoadedModel::infer.
+// run_forward_full, ModularReservoir::run and dprr_from_states stay scalar:
+// they are the oracle, and the full-BPTT path.
 
 #include <cstddef>
 

@@ -1,7 +1,6 @@
 #include "dfr/features.hpp"
 
 #include "dfr/backprop.hpp"
-#include "serve/engine.hpp"
 #include "util/check.hpp"
 #include "util/parallel.hpp"
 
@@ -27,7 +26,7 @@ FeatureMatrix compute_features(const ModularReservoir& reservoir,
     // instead of materializing a (T+1) x Nx trajectory per sample. Row i is a
     // pure function of sample i, so any chunking / thread count (and any
     // backend) yields a bit-identical matrix (see for_each_with_engine in
-    // serve/engine.hpp).
+    // util/parallel.hpp).
     for_each_with_engine(
         n, threads, [&] { return StreamingForward(reservoir, mask, 1); },
         [&](StreamingForward& forward, std::size_t i) {

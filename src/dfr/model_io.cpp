@@ -4,9 +4,9 @@
 #include <fstream>
 #include <utility>
 
+#include "dfr/backprop.hpp"
 #include "dfr/dfrm_format.hpp"
 #include "fixedpoint/quantized_dfr.hpp"
-#include "serve/engine.hpp"
 #include "util/check.hpp"
 
 namespace dfr {
@@ -252,13 +252,15 @@ LoadedModel load_model(const std::string& path) {
 }
 
 Vector LoadedModel::infer(const Matrix& series) const {
-  // Borrow *this through the features-only datapath (it outlives this call
-  // by construction) rather than snapshotting an artifact: the convenience
-  // path must not deep-copy the mask and readout per inference. The readout
-  // applied here is the same logits_into arithmetic the full engines run.
-  SimdInferenceEngine engine(
-      SimdFloatDatapath(mask, params, nonlinearity, simd::active_backend()));
-  return readout.logits(engine.features(series));
+  // The trainer's streaming forward needs no artifact, so the convenience
+  // path does not snapshot the model (copy its mask and readout) per call.
+  // Its features equal the float serving engine's bit for bit, and the
+  // readout applied here is the same logits_into arithmetic the engines run.
+  StreamingForward forward(ModularReservoir(mask.nodes(), nonlinearity), mask,
+                           1);
+  Vector features(dprr_dim(mask.nodes()));
+  forward.features_into(params, series, features);
+  return readout.logits(features);
 }
 
 int LoadedModel::classify(const Matrix& series) const {

@@ -93,11 +93,12 @@ struct LoadedModel {
   /// mutation of this LoadedModel does not affect the returned artifact.
   [[nodiscard]] ModelArtifactPtr artifact(std::string name = {}) const;
 
-  /// Logits for one series (T x V): ONE reservoir run through the SIMD float
-  /// datapath (serve/engine.hpp) on the active backend (best available
-  /// unless DFR_SIMD / simd::force_backend overrode it), within the ULP
-  /// contract of serve/simd_kernels.hpp of the scalar trajectory pipeline
-  /// (ModularReservoir::run_series + compute_representation).
+  /// Logits for one series (T x V): ONE reservoir run through
+  /// StreamingForward (dfr/backprop.hpp) on the active backend (best
+  /// available unless DFR_SIMD / simd::force_backend overrode it),
+  /// bit-identical to the float serving engine and to the scalar trajectory
+  /// pipeline (ModularReservoir::run_series + compute_representation; see
+  /// the contract in serve/simd_kernels.hpp).
   /// classify() and probabilities() both wrap this; callers wanting both
   /// should call infer() once and derive argmax / softmax themselves. For
   /// sustained serving construct an engine directly — it reuses its scratch

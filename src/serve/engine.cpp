@@ -39,32 +39,14 @@ void padded_mask_into(const simd::Kernels& kernels,
 
 // ---- SimdFloatDatapath -----------------------------------------------------
 
-SimdFloatDatapath::SimdFloatDatapath(const Mask& mask, const DfrParams& params,
-                                     Nonlinearity f, simd::Backend backend)
-    : mask_(&mask),
-      mask_t_(simd::transposed_padded_mask(mask)),
-      params_(params),
-      f_(f),
-      kernels_(&simd::kernels_for(backend)) {
-  DFR_CHECK_MSG(mask.nodes() > 0, "reservoir needs at least one virtual node");
-}
-
 SimdFloatDatapath::SimdFloatDatapath(ModelArtifactPtr model,
                                      simd::Backend backend)
     : artifact_(checked_artifact(std::move(model))),
-      mask_(&artifact_->mask),
       mask_t_(simd::transposed_padded_mask(artifact_->mask)),
-      params_(artifact_->params),
-      f_(artifact_->nonlinearity),
-      kernels_(&simd::kernels_for(backend)),
-      readout_(&artifact_->readout) {
+      kernels_(&simd::kernels_for(backend)) {
   DFR_CHECK_MSG(artifact_->mask.nodes() > 0,
                 "reservoir needs at least one virtual node");
 }
-
-SimdFloatDatapath::SimdFloatDatapath(const LoadedModel& model,
-                                     simd::Backend backend)
-    : SimdFloatDatapath(model.artifact(), backend) {}
 
 void SimdFloatDatapath::mask_into(std::span<const double> input,
                                   std::span<double> j) const {
@@ -77,26 +59,8 @@ void SimdFloatDatapath::step(std::span<const double> j,
   const std::size_t nx = nodes();
   DFR_DCHECK(j.size() >= nx && x_prev.size() >= nx && x_out.size() >= nx);
   DFR_DCHECK(x_out.data() != x_prev.data() && x_out.data() != j.data());
-  // Vectorized stage: x_out[n] = A * f~(j[n] + x_prev[n]).
-  kernels_->preadd_nonlin(f_, params_.a, j.data(), x_prev.data(), x_out.data(),
-                          nx);
-  // Serialized B-chain, head continued from x(k-1)_{Nx}.
-  bchain(x_prev[nx - 1], x_out);
-}
-
-void SimdFloatDatapath::bchain(double head, std::span<double> x) const {
-  // Same operation order as ModularReservoir::step (one multiply, one add
-  // per node), so the step stage rounds identically to the scalar pipeline.
-  double prev_node = head;
-  for (std::size_t n = 0; n < nodes(); ++n) {
-    prev_node = x[n] + params_.b * prev_node;
-    x[n] = prev_node;
-  }
-}
-
-void SimdFloatDatapath::dprr_add(double* r, const double* x_k,
-                                 const double* x_km1) const {
-  kernels_->dprr_add(r, x_k, x_km1, nodes(), simd::padded_nodes(nodes()));
+  simd::float_step(*kernels_, artifact_->nonlinearity, artifact_->params,
+                   j.data(), x_prev.data(), x_out.data(), nx);
 }
 
 void SimdFloatDatapath::finalize(Vector& r, std::size_t t_len) const {
@@ -156,14 +120,6 @@ void SimdQuantizedDatapath::step(std::span<const double> j,
   }
 }
 
-void SimdQuantizedDatapath::dprr_add(double* r, const double* x_k,
-                                     const double* x_km1) const {
-  // The exact kernel: two roundings per accumulate like DprrAccumulator::add
-  // (never FMA), so quantized features carry no ULP drift to bound.
-  kernels_->dprr_add_exact(r, x_k, x_km1, nodes(),
-                           simd::padded_nodes(nodes()));
-}
-
 void SimdQuantizedDatapath::finalize(Vector& r, std::size_t t_len) const {
   // Time-average plus residual prescale plus feature quantization — the
   // same per-element ops as the scalar fixed-point pipeline's
@@ -178,19 +134,16 @@ void SimdQuantizedDatapath::finalize(Vector& r, std::size_t t_len) const {
 BatchedFloatDatapath::BatchedFloatDatapath(ModelArtifactPtr model,
                                            simd::Backend backend)
     : artifact_(checked_artifact(std::move(model))),
-      mask_(&artifact_->mask),
-      params_(artifact_->params),
-      f_(artifact_->nonlinearity),
-      kernels_(&simd::kernels_for(backend)),
-      readout_(&artifact_->readout) {
+      kernels_(&simd::kernels_for(backend)) {
   DFR_CHECK_MSG(artifact_->mask.nodes() > 0,
                 "reservoir needs at least one virtual node");
 }
 
 void BatchedFloatDatapath::mask_soa(const double* u, double* j,
                                     std::size_t lanes) const {
-  kernels_->batched_mask(mask_->weights().data(), mask_->nodes(),
-                         mask_->channels(), u, j, lanes);
+  const Mask& mask = artifact_->mask;
+  kernels_->batched_mask(mask.weights().data(), mask.nodes(), mask.channels(),
+                         u, j, lanes);
 }
 
 void BatchedFloatDatapath::quantize_masked(double*, std::size_t) const {}
@@ -199,18 +152,13 @@ void BatchedFloatDatapath::preadd(const double* j, const double* x_prev,
                                   double* x_out, std::size_t count) const {
   // Pure per-element map, so running it over the whole SoA block performs
   // exactly the per-lane operations of the single-series preadd stage.
-  kernels_->preadd_nonlin(f_, params_.a, j, x_prev, x_out, count);
+  kernels_->preadd_nonlin(artifact_->nonlinearity, artifact_->params.a, j,
+                          x_prev, x_out, count);
 }
 
 void BatchedFloatDatapath::bchain(const double* head, double* x, std::size_t nx,
                                   std::size_t lanes) const {
-  kernels_->batched_bchain(params_.b, head, x, nx, lanes);
-}
-
-void BatchedFloatDatapath::dprr_add(double* r, const double* x_k,
-                                    const double* x_km1, std::size_t nx,
-                                    std::size_t lanes) const {
-  kernels_->batched_dprr_add(r, x_k, x_km1, nx, lanes);
+  kernels_->batched_bchain(artifact_->params.b, head, x, nx, lanes);
 }
 
 void BatchedFloatDatapath::finalize(double* r, std::size_t count,
@@ -258,12 +206,6 @@ void BatchedQuantizedDatapath::bchain(const double* head, double* x,
   kernels_->batched_quant_bchain(params_.b, state_format_, head, x, nx, lanes);
 }
 
-void BatchedQuantizedDatapath::dprr_add(double* r, const double* x_k,
-                                        const double* x_km1, std::size_t nx,
-                                        std::size_t lanes) const {
-  kernels_->batched_dprr_add_exact(r, x_k, x_km1, nx, lanes);
-}
-
 void BatchedQuantizedDatapath::finalize(double* r, std::size_t count,
                                         std::size_t t_len) const {
   kernels_->scale_quantize(feature_format_,
@@ -282,12 +224,9 @@ BatchedEngine<P>::BatchedEngine(P datapath, std::size_t max_lanes)
       x_cur_(datapath_.nodes() * max_lanes, 0.0),
       r_(dprr_dim(datapath_.nodes()) * max_lanes, 0.0),
       feat_(dprr_dim(datapath_.nodes()), 0.0),
-      logits_(
-          (datapath_.readout()
-               ? static_cast<std::size_t>(datapath_.readout()->num_classes())
-               : 0) *
-              max_lanes,
-          0.0),
+      logits_(static_cast<std::size_t>(datapath_.readout().num_classes()) *
+                  max_lanes,
+              0.0),
       labels_(max_lanes, -1) {
   DFR_CHECK_MSG(max_lanes_ >= 1, "batched engine needs at least one lane");
   DFR_CHECK_MSG(max_lanes_ <= simd::kBatchedMaxLanes,
@@ -309,9 +248,6 @@ void BatchedEngine<P>::infer(std::span<const Matrix* const> series) {
   DFR_CHECK_MSG(series[0]->cols() == datapath_.channels(),
                 "series channel count != mask width");
   DFR_CHECK_MSG(series[0]->rows() >= 1, "series needs at least one time step");
-  const OutputLayer* out = datapath_.readout();
-  DFR_CHECK_MSG(out != nullptr, "batched datapath has no readout");
-
   const std::size_t nx = datapath_.nodes();
   const std::size_t t_len = series[0]->rows();
   const std::size_t count = nx * n;  // SoA stride = actual batch size
@@ -334,16 +270,18 @@ void BatchedEngine<P>::infer(std::span<const Matrix* const> series) {
     datapath_.quantize_masked(j_.data(), count);
     datapath_.preadd(j_.data(), x_prev_.data(), x_cur_.data(), count);
     datapath_.bchain(x_prev_.data() + (nx - 1) * n, x_cur_.data(), nx, n);
-    datapath_.dprr_add(r_.data(), x_cur_.data(), x_prev_.data(), nx, n);
+    datapath_.kernels().batched_dprr_add(r_.data(), x_cur_.data(),
+                                         x_prev_.data(), nx, n);
     std::swap(x_prev_, x_cur_);  // pointer swap: no allocation
   }
   datapath_.finalize(r_.data(), feat_count, t_len);
 
-  const std::size_t ny = static_cast<std::size_t>(out->num_classes());
+  const OutputLayer& out = datapath_.readout();
+  const std::size_t ny = static_cast<std::size_t>(out.num_classes());
   for (std::size_t l = 0; l < n; ++l) {
     for (std::size_t f = 0; f < feat_.size(); ++f) feat_[f] = r_[f * n + l];
     const std::span<double> lane(logits_.data() + l * ny, ny);
-    out->logits_into(feat_, lane);
+    out.logits_into(feat_, lane);
     labels_[l] = static_cast<int>(
         std::max_element(lane.begin(), lane.end()) - lane.begin());
   }
@@ -398,10 +336,7 @@ BasicEngine<P>::BasicEngine(P datapath)
       x_prev_(row_, 0.0),
       x_cur_(row_, 0.0),
       r_(dprr_dim(datapath_.nodes()), 0.0),
-      logits_(datapath_.readout()
-                  ? static_cast<std::size_t>(datapath_.readout()->num_classes())
-                  : 0,
-              0.0),
+      logits_(static_cast<std::size_t>(datapath_.readout().num_classes()), 0.0),
       dprr_(simd::padded_dprr_size(datapath_.nodes()), 0.0) {}
 
 template <InferenceDatapath P>
@@ -413,15 +348,16 @@ std::span<const double> BasicEngine<P>::features(const Matrix& series) {
   // writes them.
   std::fill(x_prev_.begin(), x_prev_.end(), 0.0);
   std::fill(dprr_.begin(), dprr_.end(), 0.0);
+  const simd::Kernels& kernels = datapath_.kernels();
+  const std::size_t nx = datapath_.nodes();
   for (std::size_t k = 0; k < series.rows(); ++k) {
     datapath_.mask_into(series.row(k), j_);
     datapath_.step(j_, x_prev_, x_cur_);
-    datapath_.dprr_add(dprr_.data(), x_cur_.data(), x_prev_.data());
+    kernels.dprr_add(dprr_.data(), x_cur_.data(), x_prev_.data(), nx, row_);
     std::swap(x_prev_, x_cur_);  // pointer swap: no allocation
   }
   // Rows 0..Nx-1 of the padded accumulator hold the Nx x Nx block, row Nx
   // the node sums; drop each row's pad columns.
-  const std::size_t nx = datapath_.nodes();
   for (std::size_t i = 0; i <= nx; ++i) {
     std::copy_n(dprr_.begin() + static_cast<std::ptrdiff_t>(i * row_), nx,
                 r_.begin() + static_cast<std::ptrdiff_t>(i * nx));
@@ -432,10 +368,8 @@ std::span<const double> BasicEngine<P>::features(const Matrix& series) {
 
 template <InferenceDatapath P>
 std::span<const double> BasicEngine<P>::infer(const Matrix& series) {
-  const OutputLayer* out = datapath_.readout();
-  DFR_CHECK_MSG(out != nullptr, "features-only datapath has no readout");
   features(series);
-  out->logits_into(r_, logits_);
+  datapath_.readout().logits_into(r_, logits_);
   return logits_;
 }
 
@@ -455,11 +389,6 @@ template class BasicEngine<SimdFloatDatapath>;
 template class BasicEngine<SimdQuantizedDatapath>;
 
 // ---- batch serving ---------------------------------------------------------
-
-SimdInferenceEngine make_simd_engine(const LoadedModel& model,
-                                     simd::Backend backend) {
-  return SimdInferenceEngine(SimdFloatDatapath(model, backend));
-}
 
 SimdInferenceEngine make_simd_engine(ModelArtifactPtr model,
                                      simd::Backend backend) {

@@ -24,40 +24,33 @@
 //     updates vectorize, the serialized B-chain stays a scalar pass.
 //   - SimdQuantizedDatapath runs the calibrated fixed-point pipeline of
 //     quantized_dfr.hpp: vectorized round-to-format on the masked input,
-//     quantized preadd + nonlinearity, exact (no-FMA) DPRR row updates, and
-//     fused scale+quantize feature finalization.
-// The references they are held to live outside serve/, so an oracle never
-// shares code with what it checks. Float: the dfr/ trajectory pipeline
-// (ModularReservoir::run_series + compute_representation(kDprr), then the
-// OutputLayer readout); SimdFloatDatapath matches it within the documented
-// ULP contract, bit for bit on Backend::kScalar on x86-64. Quantized: the
-// plain fixed-point loop of tests/test_support.hpp with
-// QuantizedDfr::quantized_readout(); SimdQuantizedDatapath has the STRICTER
-// contract, bit-identical on every backend (fixed-point rounding is exact;
-// see the quantized contract in simd_kernels.hpp).
+//     quantized preadd + nonlinearity, and fused scale+quantize feature
+//     finalization.
+// Both are bit-identical, on every backend, to references that live
+// outside serve/, so an oracle never shares code with what it checks.
+// Float: the dfr/ trajectory pipeline (ModularReservoir::run_series +
+// compute_representation(kDprr), then the OutputLayer readout). Quantized:
+// the plain fixed-point loop of tests/test_support.hpp with
+// QuantizedDfr::quantized_readout(). See the contract (and its aarch64
+// caveat) in simd_kernels.hpp.
 //
-// Row layout: every datapath owns its accumulation step (dprr_add) over the
-// padded single-series layout of simd_kernels.hpp. The engine keeps the
-// masked input, both state rows and every accumulator row at a stride of
-// simd::padded_nodes(Nx), and gathers the Nx x Nx block and the node sums
-// out of the padded accumulator into the feature vector.
+// Row layout: the engine keeps the masked input, both state rows and every
+// accumulator row at a stride of simd::padded_nodes(Nx) (the padded
+// single-series layout of simd_kernels.hpp), accumulates with the kernel
+// table's dprr_add, and gathers the Nx x Nx block and the node sums out of
+// the padded accumulator into the feature vector.
 //
-// Ownership: the full-inference datapaths hold a reference-counted
-// ModelArtifactPtr (see model_io.hpp), so an engine keeps its model alive
-// for as long as the engine exists — the multi-model registry can hot-swap
-// or evict an artifact while engines built on the old one keep serving it
-// safely. Constructing from a LoadedModel snapshots it into a fresh
-// artifact. Only the features-only SimdFloatDatapath constructor
-// (LoadedModel::infer and the equivalence tests) and the QuantizedDfr&
-// constructor of SimdQuantizedDatapath borrow: there the caller owns the
-// weights.
+// Ownership: the float datapaths hold a reference-counted ModelArtifactPtr
+// (see model_io.hpp), so an engine keeps its model alive for as long as the
+// engine exists — the multi-model registry can hot-swap or evict an
+// artifact while engines built on the old one keep serving it safely. Only
+// the QuantizedDfr& constructor of SimdQuantizedDatapath borrows: there the
+// caller owns the weights.
 //
-// Training does not run through these engines. The trainer's truncated
-// forward and the batch feature extractor (compute_features) share
-// StreamingForward (dfr/backprop.hpp): the same padded layout and kernel
-// table as SimdFloatDatapath, but with the exact (no-FMA) DPRR accumulate,
-// so its features are bit-identical to the trajectory pipeline on every
-// backend.
+// Training and LoadedModel::infer do not run through these engines. They
+// share StreamingForward (dfr/backprop.hpp): the same padded layout, kernel
+// table and float step (simd::float_step) as SimdFloatDatapath, so its
+// features equal the engine's bit for bit.
 //
 // Threading: one engine serves one stream; engines share the immutable model
 // and are cheap to create, so batch serving makes one engine per worker.
@@ -74,87 +67,63 @@
 #include "dfr/reservoir.hpp"
 #include "fixedpoint/quantized_dfr.hpp"
 #include "serve/simd_kernels.hpp"
-#include "util/parallel.hpp"
 
 namespace dfr {
 
 /// What a datapath must provide for the shared streaming pipeline: the model
-/// shape, the masked-input transform, one reservoir time step, the DPRR
-/// accumulate over the padded layout, the feature finalization (time
-/// averaging plus any datapath-specific scaling / quantization), and an
-/// optional readout (null = features-only).
+/// shape, its kernel table (the engine accumulates with its dprr_add), the
+/// masked-input transform, one reservoir time step, the feature
+/// finalization (time averaging plus any datapath-specific scaling /
+/// quantization), and the readout.
 template <typename P>
 concept InferenceDatapath =
     requires(const P& p, std::span<const double> in, std::span<double> out,
-             double* acc, const double* x, Vector& r, std::size_t t_len) {
+             Vector& r, std::size_t t_len) {
       { p.nodes() } -> std::convertible_to<std::size_t>;
       { p.channels() } -> std::convertible_to<std::size_t>;
+      { p.kernels() } -> std::convertible_to<const simd::Kernels&>;
       { p.mask_into(in, out) };
       { p.step(in, in, out) };
-      { p.dprr_add(acc, x, x) };
       { p.finalize(r, t_len) };
-      { p.readout() } -> std::convertible_to<const OutputLayer*>;
+      { p.readout() } -> std::convertible_to<const OutputLayer&>;
     };
 
 /// Float datapath over runtime-dispatched SIMD kernels. Executes the
 /// trajectory pipeline's operations with the vectorizable stages (input mask,
-/// masked-input preadd, nonlinearity, DPRR row updates) routed through
-/// serve/simd_kernels.hpp and the serialized B-chain as a scalar pass. Rows
-/// use the padded layout (see the engine header comment): mask_into writes
+/// masked-input preadd, nonlinearity) routed through serve/simd_kernels.hpp
+/// and the serialized B-chain as a scalar pass (simd::float_step). Rows use
+/// the padded layout (see the engine header comment): mask_into writes
 /// simd::padded_nodes(nodes()) entries, step reads and writes only the
 /// first nodes() entries of its rows and leaves the pad lanes alone.
-/// Equivalence to the scalar trajectory pipeline (dfr/reservoir.hpp +
-/// dfr/representation.hpp) is governed by the ULP contract documented in
-/// simd_kernels.hpp (bit-exact mask/preadd stages, simd_feature_ulp_bound on
-/// finalized features). The artifact constructors share ownership of the
-/// model; the features-only constructor borrows the mask.
+/// Bit-identical to the scalar trajectory pipeline (dfr/reservoir.hpp +
+/// dfr/representation.hpp) on every backend. Shares ownership of the model.
 class SimdFloatDatapath {
  public:
-  /// Features-only pipeline on an explicit backend (kernels_for semantics:
-  /// throws CheckError when unavailable). Borrows `mask`.
-  SimdFloatDatapath(const Mask& mask, const DfrParams& params, Nonlinearity f,
-                    simd::Backend backend);
-
-  /// Full inference pipeline sharing ownership of `model`. The default
-  /// backend is the active one (simd::active_backend(), i.e. best available
-  /// unless DFR_SIMD / force_backend overrode it).
+  /// The default backend is the active one (simd::active_backend(), i.e.
+  /// best available unless DFR_SIMD / force_backend overrode it); an
+  /// explicit one has kernels_for semantics (throws when unavailable).
   explicit SimdFloatDatapath(ModelArtifactPtr model,
                              simd::Backend backend = simd::active_backend());
 
-  /// Full inference pipeline that snapshots `model` into an owned artifact.
-  explicit SimdFloatDatapath(const LoadedModel& model,
-                             simd::Backend backend = simd::active_backend());
-
-  [[nodiscard]] std::size_t nodes() const noexcept { return mask_->nodes(); }
-  [[nodiscard]] std::size_t channels() const noexcept { return mask_->channels(); }
+  [[nodiscard]] std::size_t nodes() const noexcept { return artifact_->mask.nodes(); }
+  [[nodiscard]] std::size_t channels() const noexcept { return artifact_->mask.channels(); }
   [[nodiscard]] simd::Backend backend() const noexcept { return kernels_->backend; }
+  [[nodiscard]] const simd::Kernels& kernels() const noexcept { return *kernels_; }
   void mask_into(std::span<const double> input, std::span<double> j) const;
   void step(std::span<const double> j, std::span<const double> x_prev,
             std::span<double> x_out) const;
-  /// The serialized B-chain, step()'s last stage: on entry x[n] holds the
-  /// preadd/nonlinearity output v_n, on exit x[n] = v_n + B * x[n-1] for
-  /// n < nodes(), with x[-1] = `head` (one multiply, one add per node, in
-  /// node order). Public so the stage can be timed on its own.
-  void bchain(double head, std::span<double> x) const;
-  /// Vectorized DPRR accumulation over the padded layout
-  /// (simd::padded_dprr_size(nodes()) entries at `r`), picked up by
-  /// BasicEngine::features.
-  void dprr_add(double* r, const double* x_k, const double* x_km1) const;
   void finalize(Vector& r, std::size_t t_len) const;
-  [[nodiscard]] const OutputLayer* readout() const noexcept { return readout_; }
-  /// The owned artifact (null for the borrowing features-only pipeline).
+  [[nodiscard]] const OutputLayer& readout() const noexcept {
+    return artifact_->readout;
+  }
   [[nodiscard]] const ModelArtifactPtr& artifact() const noexcept {
     return artifact_;
   }
 
  private:
-  ModelArtifactPtr artifact_;  // keepalive; null when borrowing
-  const Mask* mask_;
+  ModelArtifactPtr artifact_;  // keepalive
   simd::AlignedVector mask_t_;  // transposed mask: channels x padded_nodes
-  DfrParams params_;
-  Nonlinearity f_;
   const simd::Kernels* kernels_;
-  const OutputLayer* readout_ = nullptr;
 };
 
 /// Calibrated fixed-point datapath over runtime-dispatched SIMD kernels.
@@ -163,11 +132,10 @@ class SimdFloatDatapath {
 /// DPRR row updates, feature scale+quantize) routed through
 /// serve/simd_kernels.hpp; the quantized B-chain (which serializes through
 /// the per-node round-to-format) stays a scalar pass. Rows use the same
-/// padded layout as SimdFloatDatapath. Unlike the float ULP
-/// contract, every stage is BIT-IDENTICAL to the scalar fixed-point
-/// reference loop (tests/test_support.hpp) on every backend (see the
-/// quantized contract in simd_kernels.hpp; asserted EXPECT_EQ-strict by
-/// test_simd_quant.cpp). The shared_ptr
+/// padded layout as SimdFloatDatapath. Every stage is BIT-IDENTICAL to the
+/// scalar fixed-point reference loop (tests/test_support.hpp) on every
+/// backend (see the contract in simd_kernels.hpp; asserted EXPECT_EQ-strict
+/// by test_simd_quant.cpp). The shared_ptr
 /// constructors share ownership; the reference constructors borrow and the
 /// QuantizedDfr must outlive the datapath.
 class SimdQuantizedDatapath {
@@ -187,14 +155,12 @@ class SimdQuantizedDatapath {
   [[nodiscard]] std::size_t nodes() const noexcept { return mask_->nodes(); }
   [[nodiscard]] std::size_t channels() const noexcept { return mask_->channels(); }
   [[nodiscard]] simd::Backend backend() const noexcept { return kernels_->backend; }
+  [[nodiscard]] const simd::Kernels& kernels() const noexcept { return *kernels_; }
   void mask_into(std::span<const double> input, std::span<double> j) const;
   void step(std::span<const double> j, std::span<const double> x_prev,
             std::span<double> x_out) const;
-  /// Exact (no-FMA) vectorized DPRR accumulation over the padded layout,
-  /// picked up by BasicEngine::features.
-  void dprr_add(double* r, const double* x_k, const double* x_km1) const;
   void finalize(Vector& r, std::size_t t_len) const;
-  [[nodiscard]] const OutputLayer* readout() const noexcept { return readout_; }
+  [[nodiscard]] const OutputLayer& readout() const noexcept { return *readout_; }
 
  private:
   std::shared_ptr<const QuantizedDfr> owner_;  // keepalive; null when borrowing
@@ -215,12 +181,10 @@ class SimdQuantizedDatapath {
 /// structure-of-arrays form (state buffers indexed [node*lanes + lane]).
 /// Every vector operation spans independent lanes, so the B-chain that
 /// serializes the single-series SIMD path vectorizes ACROSS requests and
-/// lanes stay full at any Nx. Per-lane equivalence: bit-identical states to
-/// the scalar reservoir step on x86-64 (the batched B-chain never uses FMA), finalized
-/// features within simd_feature_ulp_bound of the scalar pipeline — the same
-/// contract as SimdFloatDatapath, and bit-identical per lane to the
-/// single-series SIMD engine (both FMA once per DPRR accumulate). Shares
-/// ownership of the artifact.
+/// lanes stay full at any Nx. Per lane, bit-identical to the scalar
+/// trajectory pipeline and to the single-series SIMD engine on every
+/// backend (the contract in simd_kernels.hpp). Shares ownership of the
+/// artifact.
 class BatchedFloatDatapath {
  public:
   /// Default: the active backend (simd::active_backend()); an explicit one
@@ -228,8 +192,8 @@ class BatchedFloatDatapath {
   explicit BatchedFloatDatapath(ModelArtifactPtr model,
                                 simd::Backend backend = simd::active_backend());
 
-  [[nodiscard]] std::size_t nodes() const noexcept { return mask_->nodes(); }
-  [[nodiscard]] std::size_t channels() const noexcept { return mask_->channels(); }
+  [[nodiscard]] std::size_t nodes() const noexcept { return artifact_->mask.nodes(); }
+  [[nodiscard]] std::size_t channels() const noexcept { return artifact_->mask.channels(); }
   [[nodiscard]] simd::Backend backend() const noexcept { return kernels_->backend; }
   /// Batched input mask over one time step's SoA input block
   /// (`u[v*lanes + l]` = lane l's channel v): j[i*lanes + l] accumulates
@@ -245,32 +209,28 @@ class BatchedFloatDatapath {
   /// Cross-lane-vectorized B-chain (see BatchedBChainFn).
   void bchain(const double* head, double* x, std::size_t nx,
               std::size_t lanes) const;
-  /// Batched DPRR accumulate into the SoA feature block.
-  void dprr_add(double* r, const double* x_k, const double* x_km1,
-                std::size_t nx, std::size_t lanes) const;
   /// Feature finalization over the whole SoA block (`count` =
   /// dprr_dim(nx)*lanes).
   void finalize(double* r, std::size_t count, std::size_t t_len) const;
-  [[nodiscard]] const OutputLayer* readout() const noexcept { return readout_; }
+  [[nodiscard]] const simd::Kernels& kernels() const noexcept { return *kernels_; }
+  [[nodiscard]] const OutputLayer& readout() const noexcept {
+    return artifact_->readout;
+  }
   [[nodiscard]] const ModelArtifactPtr& artifact() const noexcept {
     return artifact_;
   }
 
  private:
   ModelArtifactPtr artifact_;  // keepalive
-  const Mask* mask_;
-  DfrParams params_;
-  Nonlinearity f_;
   const simd::Kernels* kernels_;
-  const OutputLayer* readout_ = nullptr;
 };
 
 /// Batched (SoA) fixed-point datapath: the quantized twin of
-/// BatchedFloatDatapath with the STRICT contract — every stage rounds
-/// exactly like the scalar fixed-point reference loop per lane (no FMA anywhere), so
-/// batched quantized lanes are BIT-IDENTICAL to the scalar pipeline on every
-/// backend (asserted EXPECT_EQ-strict by test_batched.cpp). Shares ownership
-/// of the calibrated model.
+/// BatchedFloatDatapath — every stage rounds exactly like the scalar
+/// fixed-point reference loop per lane, so batched quantized lanes are
+/// BIT-IDENTICAL to the scalar pipeline on every backend (asserted
+/// EXPECT_EQ-strict by test_batched.cpp). Shares ownership of the
+/// calibrated model.
 class BatchedQuantizedDatapath {
  public:
   /// Default: the active backend (simd::active_backend()); an explicit one
@@ -289,10 +249,9 @@ class BatchedQuantizedDatapath {
               std::size_t count) const;
   void bchain(const double* head, double* x, std::size_t nx,
               std::size_t lanes) const;
-  void dprr_add(double* r, const double* x_k, const double* x_km1,
-                std::size_t nx, std::size_t lanes) const;
   void finalize(double* r, std::size_t count, std::size_t t_len) const;
-  [[nodiscard]] const OutputLayer* readout() const noexcept { return readout_; }
+  [[nodiscard]] const simd::Kernels& kernels() const noexcept { return *kernels_; }
+  [[nodiscard]] const OutputLayer& readout() const noexcept { return *readout_; }
 
  private:
   std::shared_ptr<const QuantizedDfr> owner_;  // keepalive
@@ -404,7 +363,7 @@ class BasicEngine {
   simd::AlignedVector x_prev_;  // x(k-1), ping-ponged with x_cur_
   simd::AlignedVector x_cur_;   // x(k)
   Vector r_;                    // finalized features, size Nx*(Nx+1)
-  Vector logits_;  // size Ny (empty for features-only datapaths)
+  Vector logits_;               // size Ny
   simd::AlignedVector dprr_;  // padded accumulator, padded_dprr_size(Nx)
 };
 
@@ -414,13 +373,9 @@ using SimdQuantizedInferenceEngine = BasicEngine<SimdQuantizedDatapath>;
 extern template class BasicEngine<SimdFloatDatapath>;
 extern template class BasicEngine<SimdQuantizedDatapath>;
 
-/// SIMD engine over a loaded float model (snapshots the model into an owned
-/// artifact). The default backend is the active one; an explicit backend
-/// throws CheckError when unavailable.
-[[nodiscard]] SimdInferenceEngine make_simd_engine(
-    const LoadedModel& model, simd::Backend backend = simd::active_backend());
-
-/// SIMD engine sharing ownership of an immutable artifact.
+/// SIMD engine sharing ownership of an immutable artifact. The default
+/// backend is the active one; an explicit backend throws CheckError when
+/// unavailable.
 [[nodiscard]] SimdInferenceEngine make_simd_engine(
     ModelArtifactPtr model, simd::Backend backend = simd::active_backend());
 
@@ -434,30 +389,6 @@ extern template class BasicEngine<SimdQuantizedDatapath>;
 [[nodiscard]] SimdQuantizedInferenceEngine make_simd_engine(
     std::shared_ptr<const QuantizedDfr> model,
     simd::Backend backend = simd::active_backend());
-
-/// Chunked per-worker-engine fan-out shared by classify_batch and the batch
-/// feature extractor: runs body(engine, i) once for every i in [0, n), with
-/// one engine constructed per contiguous chunk so scratch is reused across a
-/// chunk's series. Because each body invocation depends only on index i (the
-/// engine's scratch carries no state across calls), results are bit-identical
-/// for any `threads` value (0 = all cores, 1 = serial — the
-/// util/parallel.hpp convention).
-template <typename MakeEngine, typename Body>
-void for_each_with_engine(std::size_t n, unsigned threads,
-                          const MakeEngine& make_engine_fn, const Body& body) {
-  if (n == 0) return;
-  const std::size_t slots = threads == 0 ? hardware_threads() : threads;
-  const std::size_t chunks = std::min(n, slots * 4);  // mild oversubscription
-  parallel_for(
-      chunks,
-      [&](std::size_t c) {
-        auto engine = make_engine_fn();
-        const std::size_t lo = c * n / chunks;
-        const std::size_t hi = (c + 1) * n / chunks;
-        for (std::size_t i = lo; i < hi; ++i) body(engine, i);
-      },
-      {.threads = threads});
-}
 
 /// Classify a batch of series on the SIMD datapath of the model's number
 /// format, with the active backend resolved once per call. Workers each own

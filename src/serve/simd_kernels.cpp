@@ -78,8 +78,8 @@ void batched_quant_bchain_scalar(double b, const FixedPointFormat& fmt,
   }
 }
 
-// Batched SoA DPRR accumulate; like dprr_add_scalar this rounds twice per
-// accumulate, so it doubles as the exact quantized-family kernel.
+// Batched SoA DPRR accumulate; rounds twice per accumulate like
+// dprr_add_scalar.
 void batched_dprr_add_scalar(double* r, const double* x_k, const double* x_km1,
                              std::size_t nx, std::size_t lanes) {
   double* sums = r + nx * nx * lanes;
@@ -110,25 +110,20 @@ void batched_mask_scalar(const double* weights, std::size_t nx,
   }
 }
 
-// The scalar float accumulates already round twice per accumulate (plain
-// mul + add, exactly DprrAccumulator::add), so they double as the exact
-// quantized-family kernels.
 constexpr Kernels kScalarKernels{Backend::kScalar,
                                  &preadd_nonlin_scalar,
                                  &dprr_add_scalar,
                                  &scale_quantize_scalar,
                                  &quant_preadd_nonlin_scalar,
-                                 &dprr_add_scalar,
                                  &batched_bchain_scalar,
                                  &batched_quant_bchain_scalar,
                                  &batched_dprr_add_scalar,
-                                 &batched_dprr_add_scalar,
                                  &batched_mask_scalar};
 
-bool cpu_supports_avx2_fma() noexcept {
+bool cpu_supports_avx2() noexcept {
 #if (defined(__x86_64__) || defined(__i386__)) && \
     (defined(__GNUC__) || defined(__clang__))
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+  return __builtin_cpu_supports("avx2");
 #else
   return false;
 #endif
@@ -197,7 +192,7 @@ bool backend_available(Backend backend) noexcept {
     case Backend::kScalar:
       return true;
     case Backend::kAvx2:
-      return detail::avx2_kernels() != nullptr && cpu_supports_avx2_fma();
+      return detail::avx2_kernels() != nullptr && cpu_supports_avx2();
     case Backend::kNeon:
       // The NEON TU only compiles its kernels on aarch64, where Advanced
       // SIMD is architecturally mandatory — presence implies support.

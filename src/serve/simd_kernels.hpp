@@ -11,7 +11,7 @@
 //
 // The mask, the preadd/nonlinearity and the DPRR update are data-parallel
 // across the Nx virtual nodes and vectorize. The B-chain serializes on its
-// own output and stays a scalar pass (SimdFloatDatapath::bchain).
+// own output and stays a scalar pass (float_step below).
 //
 // Padded single-series layout. The single-series SIMD datapaths keep every
 // per-node row — the masked input j, the states x(k) and x(k-1), and each
@@ -37,60 +37,40 @@
 // `neon`, read once at first use) or force_backend() (tests) override the
 // choice; forcing an unavailable backend throws CheckError.
 //
-// Equivalence contract vs the scalar float reference: the dfr/ trajectory
-// pipeline (ModularReservoir::run_series + compute_representation(kDprr),
-// then the OutputLayer readout), which shares no code with serve/. Padding
-// changes where values live, never which operations an element sees or in
-// what order, so the contract is the same as for an unpadded layout:
+// Equivalence contract — one for every pipeline on the table (float serving,
+// batched serving, training, quantized): every kernel performs the scalar
+// pipeline's operations in its order, so results are BIT-IDENTICAL to the
+// scalar references on every backend. Padding changes where values live,
+// never which operations an element sees or in what order.
 //   * The mask stage keeps dot()'s evaluation order per node — start at
 //     0.0, add w*u one channel at a time in ascending order, separate
-//     multiply and add (never FMA) — and the preadd stage performs the same
-//     IEEE-754 additions lane-wise: both are bit-exact on every backend
-//     (test_simd.cpp checks the preadd/nonlinearity stage with an
-//     exact-match assertion).
-//   * The step stage as a whole (preadd, nonlinearity, B-chain) performs the
-//     scalar pipeline's operations in the same order; ISA translation units
-//     are compiled with -ffp-contract=off, so no FMA contraction can change
-//     rounding and the stage is bit-exact on x86-64. (On aarch64 the
-//     compiler may contract the *scalar* reference itself, so only the ULP
-//     bound below is guaranteed.)
-//   * The DPRR row update deliberately uses explicit FMA where available:
-//     each accumulate rounds once where the scalar path rounds twice, so a
-//     feature accumulated over T steps may drift by O(T) rounding units of
-//     the accumulated magnitudes. The documented bound: every finalized
-//     feature agrees with the scalar pipeline within
-//     simd_feature_ulp_bound(T) ulps of the feature vector's
-//     largest-magnitude entry (ulps of max|r|, not of the individual
-//     feature — cross products can cancel arbitrarily close to zero while
-//     the accumulation error scales with the summands). Asserted by
-//     test_simd.cpp across every nonlinearity and odd Nx.
+//     multiply and add.
+//   * The preadd/nonlinearity stage performs the same IEEE-754 operations
+//     lane-wise, and the B-chain (float_step below) one multiply and one add
+//     per node in node order.
+//   * The DPRR accumulate rounds twice per accumulate — a separate multiply
+//     and add, exactly like DprrAccumulator::add.
+//   * No kernel uses FMA: the ISA translation units are compiled with
+//     -ffp-contract=off and call no fused intrinsic.
+// Float results therefore equal the dfr/ trajectory pipeline
+// (ModularReservoir::run_series + compute_representation(kDprr), then the
+// OutputLayer readout), which shares no code with serve/; quantized results
+// equal the plain fixed-point loop of tests/test_support.hpp (Mask::apply,
+// FixedPointFormat::quantize, DprrAccumulator) with
+// QuantizedDfr::quantized_readout(). The quantized round-to-format is exact
+// lane-wise: scaling by a power of two rounds identically whether done by
+// multiply or divide, vector round-to-nearest matches std::nearbyint under
+// the current rounding mode, and saturation compares reproduce the scalar
+// clamp. Asserted EXPECT_EQ-strict by test_simd.cpp, test_simd_quant.cpp,
+// test_batched.cpp, test_serve.cpp, test_backprop.cpp and test_trainer.cpp.
+// Caveat: on aarch64 the compiler may FMA-contract the *scalar reference*
+// itself (baseline code there has FMA), so the tests hold aarch64 to a
+// rounding-level tolerance instead; x86-64 baseline code cannot contract.
 //
-// Quantized kernel family (SimdQuantizedDatapath) — EXACT contract:
-//   Unlike the float family, every quantized kernel is bit-identical to the
-//   scalar fixed-point reference on every backend: the plain per-series loop
-//   of tests/test_support.hpp (Mask::apply, FixedPointFormat::quantize,
-//   DprrAccumulator) with QuantizedDfr::quantized_readout(). Fixed-point
-//   rounding makes that achievable: the vector round-to-format performs the
-//   same IEEE-754 operations as FixedPointFormat::quantize lane-wise
-//   (scaling by a power of two is exact whether done by multiply or divide,
-//   vector round-to-nearest matches std::nearbyint under the current
-//   rounding mode, and saturation compares reproduce the scalar clamp), and
-//   the quantized DPRR accumulate deliberately does NOT use FMA — it rounds
-//   twice per accumulate exactly like DprrAccumulator::add, so no ULP
-//   drift exists to bound. test_simd_quant.cpp asserts EXPECT_EQ-strict
-//   equivalence across formats, nonlinearities, sizes, and backends. (On
-//   aarch64 the scalar reference TU itself may FMA-contract the B-chain;
-//   x86-64 baseline code cannot, so the strict contract is asserted there.)
-//
-// Training (StreamingForward, dfr/backprop.hpp) — EXACT contract:
-//   The backprop trainer's truncated forward and the batch feature extractor
-//   run the float stages over the padded layout — batched_mask,
-//   preadd_nonlin, the scalar B-chain — but accumulate with dprr_add_exact
-//   instead of the FMA dprr_add. Every stage then performs the scalar
-//   pipeline's operations in its order, so the DPRR features, tail states
-//   and everything trained from them are bit-identical on every backend
-//   (asserted EXPECT_EQ-strict by test_backprop.cpp and test_trainer.cpp,
-//   with the same aarch64 caveat).
+// Training (StreamingForward, dfr/backprop.hpp) and LoadedModel::infer run
+// the float stages over the padded layout through the same table —
+// batched_mask, float_step, dprr_add — so trained models and the serving
+// engines see the same features.
 
 #include <cstddef>
 #include <new>
@@ -98,11 +78,8 @@
 #include <vector>
 
 #include "dfr/nonlinearity.hpp"
+#include "dfr/reservoir.hpp"
 #include "fixedpoint/fixed.hpp"
-
-namespace dfr {
-class Mask;
-}  // namespace dfr
 
 namespace dfr::simd {
 
@@ -120,7 +97,7 @@ enum class Backend { kScalar, kAvx2, kNeon, kAvx512 };
 
 /// v[n] = a * f~( j[n] + x_prev[n] ) for n in [0, nx). `out` must not alias
 /// the inputs. The B-chain term is NOT applied here (it serializes; see
-/// SimdFloatDatapath::step).
+/// float_step).
 using PreaddNonlinFn = void (*)(const Nonlinearity& f, double a,
                                 const double* j, const double* x_prev,
                                 double* out, std::size_t nx);
@@ -209,20 +186,12 @@ using QuantPreaddNonlinFn = void (*)(const Nonlinearity& f, double a,
 // spans INDEPENDENT series: the per-node B-chain dependence crosses rows,
 // never lanes, and lanes stay full at any Nx.
 //
-// Per-lane equivalence contract (x86-64; the aarch64 caveat above applies):
-//   * batched_bchain performs one multiply and one add per node per lane in
-//     node order, exactly like the scalar B-chain — never FMA — so batched
-//     float states are bit-identical per lane to the single-series path on
-//     every backend.
-//   * batched_dprr_add uses explicit FMA per accumulate, exactly like the
-//     single-series float dprr_add; batched float features therefore match
-//     the single-series SIMD engine bit-identically per lane and the scalar
-//     trajectory pipeline within simd_feature_ulp_bound (same contract as
-//     above).
-//   * batched_quant_bchain and batched_dprr_add_exact never use FMA and
-//     round exactly like the scalar fixed-point pipeline: batched quantized
-//     lanes are BIT-IDENTICAL to the scalar fixed-point reference loop on
-//     every backend (asserted EXPECT_EQ-strict by test_batched.cpp).
+// Per lane the batched kernels perform the single-series operations in the
+// same order — batched_bchain and batched_quant_bchain one multiply and one
+// add per node, batched_dprr_add two roundings per accumulate — so every
+// lane, float or quantized, is bit-identical to its scalar reference and to
+// the single-series engine on every backend (the contract above, with its
+// aarch64 caveat; asserted EXPECT_EQ-strict by test_batched.cpp).
 // The elementwise stages (preadd_nonlin, quant_preadd_nonlin,
 // scale_quantize) are reused unchanged over nx*lanes-element SoA blocks —
 // they are pure per-element maps, so the SoA layout cannot change rounding.
@@ -249,9 +218,8 @@ using BatchedQuantBChainFn = void (*)(double b, const FixedPointFormat& fmt,
 /// Batched SoA DPRR accumulate: for every lane l,
 /// r[(i*nx + j)*lanes + l] += x_k[i*lanes + l] * x_km1[j*lanes + l] and
 /// r[(nx*nx + i)*lanes + l] += x_k[i*lanes + l]. `r` holds
-/// dprr_dim(nx) * lanes entries. The float-family kernel uses explicit FMA
-/// (single rounding per accumulate); the exact-family twin rounds twice
-/// like DprrAccumulator::add.
+/// dprr_dim(nx) * lanes entries. Rounds twice per accumulate, like
+/// DprrAccumulator::add.
 using BatchedDprrAddFn = void (*)(double* r, const double* x_k,
                                   const double* x_km1, std::size_t nx,
                                   std::size_t lanes);
@@ -273,26 +241,17 @@ using BatchedMaskFn = void (*)(const double* weights, std::size_t nx,
                                double* j, std::size_t lanes);
 
 /// One backend's kernel set. Pointers are non-null and valid for the process
-/// lifetime. `dprr_add` is the float-family accumulate (explicit FMA, single
-/// rounding, ULP-bounded); `dprr_add_exact` rounds twice per accumulate
-/// exactly like DprrAccumulator::add and is therefore bit-identical to it.
-/// Two pipelines run on the exact kernel: the quantized family, and the
-/// training forward (StreamingForward in dfr/backprop.hpp), which chains
-/// batched_mask, preadd_nonlin, a scalar B-chain and dprr_add_exact so that
-/// training results are bit-identical on every backend. The batched_*
-/// members follow the same float/exact split over the SoA layout documented
-/// above.
+/// lifetime. Every pipeline — float and quantized, single-series and
+/// batched, serving and training — runs on this one table.
 struct Kernels {
   Backend backend;
   PreaddNonlinFn preadd_nonlin;
   DprrAddFn dprr_add;
   ScaleQuantizeFn scale_quantize;
   QuantPreaddNonlinFn quant_preadd_nonlin;
-  DprrAddFn dprr_add_exact;
   BatchedBChainFn batched_bchain;
   BatchedQuantBChainFn batched_quant_bchain;
   BatchedDprrAddFn batched_dprr_add;
-  BatchedDprrAddFn batched_dprr_add_exact;
   BatchedMaskFn batched_mask;
 };
 
@@ -324,15 +283,30 @@ void force_backend(Backend backend);
 /// Kernel set for active_backend().
 [[nodiscard]] const Kernels& active_kernels();
 
-/// Documented SIMD-vs-scalar equivalence bound for finalized DPRR features
-/// after `t_len` accumulation steps: |r_simd[i] - r_scalar[i]| <=
-/// simd_feature_ulp_bound(t_len) * ulp(max_i |r_scalar[i]|) (see the
-/// equivalence contract above). The constant slack absorbs sub-ulp state
-/// divergence on platforms where the scalar reference itself is
-/// FMA-contracted.
-[[nodiscard]] constexpr std::size_t simd_feature_ulp_bound(
-    std::size_t t_len) noexcept {
-  return 64 + 8 * t_len;
+/// The float B-chain, float_step's serial stage: on entry x[n] holds the
+/// preadd/nonlinearity output v_n, on exit x[n] = v_n + b * x[n-1] for
+/// n < nx, with x[-1] = `head`. Separate so the stage can be timed alone.
+inline void float_bchain(double b, double head, double* x, std::size_t nx) {
+  double prev_node = head;
+  for (std::size_t n = 0; n < nx; ++n) {
+    prev_node = x[n] + b * prev_node;
+    x[n] = prev_node;
+  }
+}
+
+/// One float reservoir step over padded rows, shared by the serving engine
+/// (SimdFloatDatapath::step) and the training forward (StreamingForward):
+/// x_out[n] = A * f~(j[n] + x_prev[n]) + B * x_out[n-1] for n < nx, with
+/// x_out[-1] = x_prev[nx-1]. The data-parallel preadd/nonlinearity runs on
+/// `kernels`; the B-chain serializes on its own output and runs here, one
+/// multiply and one add per node in node order — ModularReservoir::step's
+/// operations, so the step is bit-identical to it. Pad lanes of `x_out` are
+/// never written. `x_out` must not alias `j` or `x_prev`.
+inline void float_step(const Kernels& kernels, const Nonlinearity& f,
+                       const DfrParams& params, const double* j,
+                       const double* x_prev, double* x_out, std::size_t nx) {
+  kernels.preadd_nonlin(f, params.a, j, x_prev, x_out, nx);
+  float_bchain(params.b, x_prev[nx - 1], x_out, nx);
 }
 
 namespace detail {

@@ -1,21 +1,17 @@
-// AVX2+FMA kernel set. This translation unit is compiled with per-file arch
-// flags (-mavx2 -mfma -ffp-contract=off; see the root CMakeLists) on x86-64
-// builds and compiles to a nullptr stub everywhere else — runtime dispatch in
+// AVX2 kernel set. This translation unit is compiled with per-file arch
+// flags (-mavx2 -ffp-contract=off; see the root CMakeLists) on x86-64 builds
+// and compiles to a nullptr stub everywhere else — runtime dispatch in
 // simd_kernels.cpp decides whether it ever executes.
 //
-// -ffp-contract=off matters: the preadd/nonlinearity stage must round exactly
-// like the scalar baseline, so only the *explicit* _mm256_fmadd_pd in the
-// float DPRR update (where single rounding is the point, covered by the
-// documented ULP bound) may fuse. The quantized kernel family never uses FMA
-// at all — its contract is bit-exactness against the scalar fixed-point
-// pipeline (see simd_kernels.hpp).
+// Every kernel here performs the scalar pipeline's operations in its order,
+// with a separate multiply and add wherever the scalar code has them, so it
+// is bit-identical to the scalar references (see the contract in
+// simd_kernels.hpp). -ffp-contract=off keeps the compiler from fusing them.
 #include "serve/simd_kernels.hpp"
 
-#if defined(DFR_SIMD_KERNELS_ISA) && defined(__AVX2__) && defined(__FMA__)
+#if defined(DFR_SIMD_KERNELS_ISA) && defined(__AVX2__)
 
 #include <immintrin.h>
-
-#include <cmath>
 
 namespace dfr::simd {
 namespace {
@@ -149,31 +145,11 @@ void scale_quantize_avx2(const FixedPointFormat& fmt, double scale,
 
 // Padded-layout accumulate (see simd_kernels.hpp): `stride` is a multiple of
 // kWidth, so every row — and the node-sum row — is whole vectors.
-// r[i*stride + jj] += x_k[i] * x_km1[jj] with explicit FMA (single rounding
-// per accumulate — the documented ULP-bound divergence from scalar), plus
-// the r[nx*stride + jj] += x_k[jj] node-sum row.
+// r[i*stride + jj] += x_k[i] * x_km1[jj] with a separate multiply and add,
+// two roundings per accumulate exactly like DprrAccumulator::add, plus the
+// r[nx*stride + jj] += x_k[jj] node-sum row.
 void dprr_add_avx2(double* r, const double* x_k, const double* x_km1,
                    std::size_t nx, std::size_t stride) {
-  for (std::size_t i = 0; i < nx; ++i) {
-    const __m256d vxi = _mm256_set1_pd(x_k[i]);
-    double* row = r + i * stride;
-    for (std::size_t jj = 0; jj < stride; jj += kWidth) {
-      const __m256d acc = _mm256_fmadd_pd(vxi, _mm256_loadu_pd(x_km1 + jj),
-                                          _mm256_loadu_pd(row + jj));
-      _mm256_storeu_pd(row + jj, acc);
-    }
-  }
-  double* sums = r + nx * stride;
-  for (std::size_t jj = 0; jj < stride; jj += kWidth) {
-    _mm256_storeu_pd(sums + jj, _mm256_add_pd(_mm256_loadu_pd(sums + jj),
-                                              _mm256_loadu_pd(x_k + jj)));
-  }
-}
-
-// The exact (quantized-family) accumulate: separate multiply and add, two
-// roundings per accumulate exactly like DprrAccumulator::add — never FMA.
-void dprr_add_exact_avx2(double* r, const double* x_k, const double* x_km1,
-                         std::size_t nx, std::size_t stride) {
   for (std::size_t i = 0; i < nx; ++i) {
     const __m256d vxi = _mm256_set1_pd(x_k[i]);
     double* row = r + i * stride;
@@ -238,8 +214,9 @@ void batched_quant_bchain_avx2(double b, const FixedPointFormat& fmt,
 }
 
 // Batched SoA DPRR accumulate: every (i, j) cross product is a full-width
-// FMA over the lane dimension — nx^2 vector ops per step with no serial
-// chain, full lanes at any Nx.
+// multiply and add over the lane dimension — nx^2 vector op pairs per step
+// with no serial chain, full lanes at any Nx — rounding twice per accumulate
+// like DprrAccumulator::add.
 void batched_dprr_add_avx2(double* r, const double* x_k, const double* x_km1,
                            std::size_t nx, std::size_t lanes) {
   const std::size_t main = lanes - lanes % kWidth;
@@ -248,42 +225,8 @@ void batched_dprr_add_avx2(double* r, const double* x_k, const double* x_km1,
     const double* xi = x_k + i * lanes;
     double* block = r + i * nx * lanes;
     // Lane blocks outside j so the x_k[i] lane vector loads once per block
-    // (two loads + one store per FMA); each element is still touched once.
-    for (std::size_t l = 0; l < main; l += kWidth) {
-      const __m256d vxi = _mm256_loadu_pd(xi + l);
-      for (std::size_t j = 0; j < nx; ++j) {
-        double* row = block + j * lanes + l;
-        const __m256d acc = _mm256_fmadd_pd(
-            vxi, _mm256_loadu_pd(x_km1 + j * lanes + l), _mm256_loadu_pd(row));
-        _mm256_storeu_pd(row, acc);
-      }
-    }
-    for (std::size_t l = main; l < lanes; ++l) {
-      const double xil = xi[l];
-      for (std::size_t j = 0; j < nx; ++j) {
-        double* row = block + j * lanes + l;
-        *row = std::fma(xil, x_km1[j * lanes + l], *row);
-      }
-    }
-    double* sum_row = sums + i * lanes;
-    for (std::size_t l = 0; l < main; l += kWidth) {
-      _mm256_storeu_pd(sum_row + l, _mm256_add_pd(_mm256_loadu_pd(sum_row + l),
-                                                  _mm256_loadu_pd(xi + l)));
-    }
-    for (std::size_t l = main; l < lanes; ++l) sum_row[l] += xi[l];
-  }
-}
-
-// Exact (quantized-family) batched accumulate: two roundings per accumulate
-// like DprrAccumulator::add, never FMA.
-void batched_dprr_add_exact_avx2(double* r, const double* x_k,
-                                 const double* x_km1, std::size_t nx,
-                                 std::size_t lanes) {
-  const std::size_t main = lanes - lanes % kWidth;
-  double* sums = r + nx * nx * lanes;
-  for (std::size_t i = 0; i < nx; ++i) {
-    const double* xi = x_k + i * lanes;
-    double* block = r + i * nx * lanes;
+    // (two loads + one store per accumulate); each element is still touched
+    // once.
     for (std::size_t l = 0; l < main; l += kWidth) {
       const __m256d vxi = _mm256_loadu_pd(xi + l);
       for (std::size_t j = 0; j < nx; ++j) {
@@ -343,11 +286,9 @@ constexpr Kernels kAvx2Kernels{Backend::kAvx2,
                                &dprr_add_avx2,
                                &scale_quantize_avx2,
                                &quant_preadd_nonlin_avx2,
-                               &dprr_add_exact_avx2,
                                &batched_bchain_avx2,
                                &batched_quant_bchain_avx2,
                                &batched_dprr_add_avx2,
-                               &batched_dprr_add_exact_avx2,
                                &batched_mask_avx2};
 
 }  // namespace
@@ -358,7 +299,7 @@ const Kernels* avx2_kernels() noexcept { return &kAvx2Kernels; }
 
 }  // namespace dfr::simd
 
-#else  // TU built without AVX2+FMA arch flags: register nothing.
+#else  // TU built without AVX2 arch flags: register nothing.
 
 namespace dfr::simd::detail {
 const Kernels* avx2_kernels() noexcept { return nullptr; }

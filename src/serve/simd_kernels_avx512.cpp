@@ -4,12 +4,9 @@
 // to a nullptr stub everywhere else — runtime dispatch in simd_kernels.cpp
 // gates execution on __builtin_cpu_supports("avx512f")/("avx512bw").
 //
-// Same contracts as the AVX2 TU, twice the width:
-//  * float family — the preadd/nonlinearity stage rounds exactly like the
-//    scalar baseline (-ffp-contract=off; only the explicit _mm512_fmadd_pd
-//    in the DPRR update fuses, covered by the documented ULP bound);
-//  * quantized family — bit-exact against the scalar fixed-point pipeline,
-//    no FMA anywhere (see simd_kernels.hpp).
+// Same contract as the AVX2 TU, twice the width: every kernel performs the
+// scalar pipeline's operations in its order, never fused, so it is
+// bit-identical to the scalar references (see simd_kernels.hpp).
 // The single-series DPRR kernels run over the padded layout (rows a multiple
 // of 8 wide) and so have no remainder at all. Unlike the AVX2/NEON TUs, the
 // elementwise single-series kernels here run their remainder (nx % 8)
@@ -17,8 +14,7 @@
 // maskz loads fill inactive lanes with +0.0 (harmless for every vectorized
 // operation below) and masked stores never touch memory past nx, while the
 // active lanes execute the exact same IEEE operation sequence as the main
-// loop — so the ULP contract (float family) and the bit-exactness contract
-// (quantized family) are preserved, and non-multiple-of-8 Nx values no
+// loop — so bit-exactness is preserved, and non-multiple-of-8 Nx values no
 // longer pay a scalar epilogue. The batched kernels keep scalar lane tails:
 // the lane count is the server's max_batch, which real configs keep at a
 // power of two.
@@ -28,8 +24,6 @@
     defined(__AVX512BW__)
 
 #include <immintrin.h>
-
-#include <cmath>
 
 namespace dfr::simd {
 namespace {
@@ -183,31 +177,11 @@ void scale_quantize_avx512(const FixedPointFormat& fmt, double scale,
 
 // Padded-layout accumulate (see simd_kernels.hpp): `stride` is a multiple of
 // kWidth, so every row — and the node-sum row — is whole vectors.
-// r[i*stride + jj] += x_k[i] * x_km1[jj] with explicit FMA (single rounding
-// per accumulate — the documented ULP-bound divergence from scalar), plus
-// the r[nx*stride + jj] += x_k[jj] node-sum row.
+// r[i*stride + jj] += x_k[i] * x_km1[jj] with a separate multiply and add,
+// two roundings per accumulate exactly like DprrAccumulator::add, plus the
+// r[nx*stride + jj] += x_k[jj] node-sum row.
 void dprr_add_avx512(double* r, const double* x_k, const double* x_km1,
                      std::size_t nx, std::size_t stride) {
-  for (std::size_t i = 0; i < nx; ++i) {
-    const __m512d vxi = _mm512_set1_pd(x_k[i]);
-    double* row = r + i * stride;
-    for (std::size_t jj = 0; jj < stride; jj += kWidth) {
-      const __m512d acc = _mm512_fmadd_pd(vxi, _mm512_loadu_pd(x_km1 + jj),
-                                          _mm512_loadu_pd(row + jj));
-      _mm512_storeu_pd(row + jj, acc);
-    }
-  }
-  double* sums = r + nx * stride;
-  for (std::size_t jj = 0; jj < stride; jj += kWidth) {
-    _mm512_storeu_pd(sums + jj, _mm512_add_pd(_mm512_loadu_pd(sums + jj),
-                                              _mm512_loadu_pd(x_k + jj)));
-  }
-}
-
-// The exact (quantized-family) accumulate: separate multiply and add, two
-// roundings per accumulate exactly like DprrAccumulator::add — never FMA.
-void dprr_add_exact_avx512(double* r, const double* x_k, const double* x_km1,
-                           std::size_t nx, std::size_t stride) {
   for (std::size_t i = 0; i < nx; ++i) {
     const __m512d vxi = _mm512_set1_pd(x_k[i]);
     double* row = r + i * stride;
@@ -272,49 +246,15 @@ void batched_quant_bchain_avx512(double b, const FixedPointFormat& fmt,
 }
 
 // Batched SoA DPRR accumulate: every (i, j) cross product is one full-width
-// FMA over the lane dimension — nx^2 vector ops per step with no serial
-// chain, full lanes at any Nx.
+// multiply and add over the lane dimension — nx^2 vector op pairs per step
+// with no serial chain, full lanes at any Nx — rounding twice per
+// accumulate like DprrAccumulator::add.
 // Lane blocks are the outer loop over j so the x_k[i] lane vector loads
 // once per block instead of once per (i, j): two loads + one store per
-// FMA, matching the single-series kernel's traffic. Each (i, j, l) element
-// is touched exactly once either way, so results are unchanged.
+// accumulate, matching the single-series kernel's traffic. Each (i, j, l)
+// element is touched exactly once either way, so results are unchanged.
 void batched_dprr_add_avx512(double* r, const double* x_k, const double* x_km1,
                              std::size_t nx, std::size_t lanes) {
-  const std::size_t main = lanes - lanes % kWidth;
-  double* sums = r + nx * nx * lanes;
-  for (std::size_t i = 0; i < nx; ++i) {
-    const double* xi = x_k + i * lanes;
-    double* block = r + i * nx * lanes;
-    for (std::size_t l = 0; l < main; l += kWidth) {
-      const __m512d vxi = _mm512_loadu_pd(xi + l);
-      for (std::size_t j = 0; j < nx; ++j) {
-        double* row = block + j * lanes + l;
-        const __m512d acc = _mm512_fmadd_pd(
-            vxi, _mm512_loadu_pd(x_km1 + j * lanes + l), _mm512_loadu_pd(row));
-        _mm512_storeu_pd(row, acc);
-      }
-    }
-    for (std::size_t l = main; l < lanes; ++l) {
-      const double xil = xi[l];
-      for (std::size_t j = 0; j < nx; ++j) {
-        double* row = block + j * lanes + l;
-        *row = std::fma(xil, x_km1[j * lanes + l], *row);
-      }
-    }
-    double* sum_row = sums + i * lanes;
-    for (std::size_t l = 0; l < main; l += kWidth) {
-      _mm512_storeu_pd(sum_row + l, _mm512_add_pd(_mm512_loadu_pd(sum_row + l),
-                                                  _mm512_loadu_pd(xi + l)));
-    }
-    for (std::size_t l = main; l < lanes; ++l) sum_row[l] += xi[l];
-  }
-}
-
-// Exact (quantized-family) batched accumulate: two roundings per accumulate
-// like DprrAccumulator::add, never FMA.
-void batched_dprr_add_exact_avx512(double* r, const double* x_k,
-                                   const double* x_km1, std::size_t nx,
-                                   std::size_t lanes) {
   const std::size_t main = lanes - lanes % kWidth;
   double* sums = r + nx * nx * lanes;
   for (std::size_t i = 0; i < nx; ++i) {
@@ -374,13 +314,15 @@ void batched_mask_avx512(const double* weights, std::size_t nx,
   }
 }
 
-constexpr Kernels kAvx512Kernels{
-    Backend::kAvx512,          &preadd_nonlin_avx512,
-    &dprr_add_avx512,          &scale_quantize_avx512,
-    &quant_preadd_nonlin_avx512, &dprr_add_exact_avx512,
-    &batched_bchain_avx512,    &batched_quant_bchain_avx512,
-    &batched_dprr_add_avx512,  &batched_dprr_add_exact_avx512,
-    &batched_mask_avx512};
+constexpr Kernels kAvx512Kernels{Backend::kAvx512,
+                                 &preadd_nonlin_avx512,
+                                 &dprr_add_avx512,
+                                 &scale_quantize_avx512,
+                                 &quant_preadd_nonlin_avx512,
+                                 &batched_bchain_avx512,
+                                 &batched_quant_bchain_avx512,
+                                 &batched_dprr_add_avx512,
+                                 &batched_mask_avx512};
 
 }  // namespace
 

@@ -1,10 +1,9 @@
 // NEON (Advanced SIMD) kernel set for aarch64, where 2-lane double vectors
-// and vfmaq_f64 are architecturally guaranteed. Compiled with
-// -ffp-contract=off per-file (see the root CMakeLists) so only the explicit
-// FMA in the float DPRR update fuses; compiles to a nullptr stub on other
-// architectures, mirroring simd_kernels_avx2.cpp. The quantized kernel
-// family never uses FMA — its contract is bit-exactness against the scalar
-// fixed-point pipeline (see simd_kernels.hpp).
+// are architecturally guaranteed. Compiled with -ffp-contract=off per-file
+// (see the root CMakeLists) so no multiply and add fuses: every kernel
+// performs the scalar pipeline's operations in its order (see the contract
+// in simd_kernels.hpp). Compiles to a nullptr stub on other architectures,
+// mirroring simd_kernels_avx2.cpp.
 #include "serve/simd_kernels.hpp"
 
 #if defined(DFR_SIMD_KERNELS_ISA) && defined(__aarch64__) && defined(__ARM_NEON)
@@ -135,30 +134,11 @@ void scale_quantize_neon(const FixedPointFormat& fmt, double scale,
 
 // Padded-layout accumulate (see simd_kernels.hpp): `stride` is a multiple of
 // kWidth, so every row — and the node-sum row — is whole vectors.
-// r[i*stride + jj] += x_k[i] * x_km1[jj] with explicit FMA (single rounding
-// per accumulate — the documented ULP-bound divergence from scalar), plus
-// the r[nx*stride + jj] += x_k[jj] node-sum row.
+// r[i*stride + jj] += x_k[i] * x_km1[jj] with a separate multiply and add,
+// two roundings per accumulate exactly like DprrAccumulator::add, plus the
+// r[nx*stride + jj] += x_k[jj] node-sum row.
 void dprr_add_neon(double* r, const double* x_k, const double* x_km1,
                    std::size_t nx, std::size_t stride) {
-  for (std::size_t i = 0; i < nx; ++i) {
-    const float64x2_t vxi = vdupq_n_f64(x_k[i]);
-    double* row = r + i * stride;
-    for (std::size_t jj = 0; jj < stride; jj += kWidth) {
-      const float64x2_t acc =
-          vfmaq_f64(vld1q_f64(row + jj), vxi, vld1q_f64(x_km1 + jj));
-      vst1q_f64(row + jj, acc);
-    }
-  }
-  double* sums = r + nx * stride;
-  for (std::size_t jj = 0; jj < stride; jj += kWidth) {
-    vst1q_f64(sums + jj, vaddq_f64(vld1q_f64(sums + jj), vld1q_f64(x_k + jj)));
-  }
-}
-
-// The exact (quantized-family) accumulate: separate multiply and add, two
-// roundings per accumulate exactly like DprrAccumulator::add — never FMA.
-void dprr_add_exact_neon(double* r, const double* x_k, const double* x_km1,
-                         std::size_t nx, std::size_t stride) {
   for (std::size_t i = 0; i < nx; ++i) {
     const float64x2_t vxi = vdupq_n_f64(x_k[i]);
     double* row = r + i * stride;
@@ -219,48 +199,12 @@ void batched_quant_bchain_neon(double b, const FixedPointFormat& fmt,
 }
 
 // Batched SoA DPRR accumulate: every (i, j) cross product is a full-width
-// FMA over the lane dimension — nx^2 vector ops per step with no serial
-// chain, full lanes at any Nx.
+// multiply and add over the lane dimension, rounding twice per accumulate
+// like DprrAccumulator::add (this TU builds with -ffp-contract=off, so the
+// lane tail cannot fuse either). Lane blocks run outside j so the x_k[i]
+// lane vector loads once per block.
 void batched_dprr_add_neon(double* r, const double* x_k, const double* x_km1,
                            std::size_t nx, std::size_t lanes) {
-  const std::size_t main = lanes - lanes % kWidth;
-  double* sums = r + nx * nx * lanes;
-  for (std::size_t i = 0; i < nx; ++i) {
-    const double* xi = x_k + i * lanes;
-    double* block = r + i * nx * lanes;
-    // Lane blocks outside j so the x_k[i] lane vector loads once per block
-    // (two loads + one store per FMA); each element is still touched once.
-    for (std::size_t l = 0; l < main; l += kWidth) {
-      const float64x2_t vxi = vld1q_f64(xi + l);
-      for (std::size_t j = 0; j < nx; ++j) {
-        double* row = block + j * lanes + l;
-        const float64x2_t acc =
-            vfmaq_f64(vld1q_f64(row), vxi, vld1q_f64(x_km1 + j * lanes + l));
-        vst1q_f64(row, acc);
-      }
-    }
-    for (std::size_t l = main; l < lanes; ++l) {
-      const double xil = xi[l];
-      for (std::size_t j = 0; j < nx; ++j) {
-        double* row = block + j * lanes + l;
-        *row = std::fma(xil, x_km1[j * lanes + l], *row);
-      }
-    }
-    double* sum_row = sums + i * lanes;
-    for (std::size_t l = 0; l < main; l += kWidth) {
-      vst1q_f64(sum_row + l,
-                vaddq_f64(vld1q_f64(sum_row + l), vld1q_f64(xi + l)));
-    }
-    for (std::size_t l = main; l < lanes; ++l) sum_row[l] += xi[l];
-  }
-}
-
-// Exact (quantized-family) batched accumulate: two roundings per accumulate
-// like DprrAccumulator::add, never FMA (this TU builds with
-// -ffp-contract=off, so the tail cannot fuse either).
-void batched_dprr_add_exact_neon(double* r, const double* x_k,
-                                 const double* x_km1, std::size_t nx,
-                                 std::size_t lanes) {
   const std::size_t main = lanes - lanes % kWidth;
   double* sums = r + nx * nx * lanes;
   for (std::size_t i = 0; i < nx; ++i) {
@@ -323,11 +267,9 @@ constexpr Kernels kNeonKernels{Backend::kNeon,
                                &dprr_add_neon,
                                &scale_quantize_neon,
                                &quant_preadd_nonlin_neon,
-                               &dprr_add_exact_neon,
                                &batched_bchain_neon,
                                &batched_quant_bchain_neon,
                                &batched_dprr_add_neon,
-                               &batched_dprr_add_exact_neon,
                                &batched_mask_neon};
 
 }  // namespace

@@ -24,6 +24,7 @@
 // Exceptions: the first exception thrown by any body cancels the remaining
 // blocks and is rethrown on the calling thread once the job drains.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -102,6 +103,30 @@ unsigned hardware_threads() noexcept;
 /// worker count (0 = all cores); nested calls degrade to a serial loop.
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
                   ParallelOptions options = {});
+
+/// Chunked per-worker-state fan-out: runs body(state, i) once for every i in
+/// [0, n), with one state built by make_state() per contiguous chunk, so
+/// scratch (an inference engine, a streaming forward) is reused across a
+/// chunk's indices. When each body invocation depends only on index i (the
+/// state carries no result across calls), results are bit-identical for any
+/// `threads` value (0 = all cores, 1 = serial — the parallel_for
+/// convention). Used by classify_batch and the batch feature extractor.
+template <typename MakeState, typename Body>
+void for_each_with_engine(std::size_t n, unsigned threads,
+                          const MakeState& make_state, const Body& body) {
+  if (n == 0) return;
+  const std::size_t slots = threads == 0 ? hardware_threads() : threads;
+  const std::size_t chunks = std::min(n, slots * 4);  // mild oversubscription
+  parallel_for(
+      chunks,
+      [&](std::size_t c) {
+        auto state = make_state();
+        const std::size_t lo = c * n / chunks;
+        const std::size_t hi = (c + 1) * n / chunks;
+        for (std::size_t i = lo; i < hi; ++i) body(state, i);
+      },
+      {.threads = threads});
+}
 
 /// Deterministic per-index seed stream: a pure hash of (base_seed, index),
 /// identical for every thread count and scheduling order.

@@ -87,7 +87,7 @@ TEST_F(ModelIoRoundTrip, PredictionsSurviveRoundTrip) {
   const std::vector<int> reference = predict(*model_, pair_->test);
   // The loaded model through the scalar trajectory pipeline: the reference
   // predictions come from the scalar training-side pipeline, and this test
-  // asserts exact round-trip equality, not the SIMD ULP contract
+  // asserts exact round-trip equality, not the SIMD equivalence contract
   // (test_simd.cpp owns that).
   for (std::size_t i = 0; i < pair_->test.size(); ++i) {
     EXPECT_EQ(reference_float_label(loaded, pair_->test[i].series),

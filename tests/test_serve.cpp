@@ -1,9 +1,8 @@
 // Tests for the streaming inference engine (serve/engine.hpp) on a trained
 // model: the SIMD datapaths against the scalar references of
-// test_support.hpp (float: bit-identical on the scalar backend on x86-64,
-// within simd_feature_ulp_bound elsewhere; quantized: bit-identical on every
-// backend), batch classification determinism for any thread count, input
-// validation, and the zero-steady-state-allocation guarantee.
+// test_support.hpp (float and quantized: bit-identical on every backend),
+// batch classification determinism for any thread count, input validation,
+// and the zero-steady-state-allocation guarantee.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -77,45 +76,29 @@ LoadedModel* ServeEngine::model_ = nullptr;
 QuantizedDfr* ServeEngine::quantized_ = nullptr;
 
 TEST_F(ServeEngine, FloatFeaturesBitIdenticalToTrajectoryPipeline) {
+  const ModelArtifactPtr artifact = model_->artifact();
   for (simd::Backend b : available_backends()) {
-    SimdInferenceEngine engine = make_simd_engine(*model_, b);
+    SimdInferenceEngine engine = make_simd_engine(artifact, b);
     for (std::size_t i = 0; i < pair_->test.size(); ++i) {
       const Matrix& series = pair_->test[i].series;
-      const Vector reference = reference_float_features(*model_, series);
-      const std::span<const double> streamed = engine.features(series);
-      ASSERT_EQ(streamed.size(), reference.size());
-      const double tol = simd_feature_tolerance(reference, series.rows());
-      for (std::size_t k = 0; k < reference.size(); ++k) {
-        if (b == simd::Backend::kScalar && kScalarBackendIsExact) {
-          ASSERT_EQ(streamed[k], reference[k])
-              << "sample " << i << " feature " << k;
-        } else {
-          ASSERT_LE(std::fabs(streamed[k] - reference[k]), tol)
-              << simd::backend_name(b) << " sample " << i << " feature " << k;
-        }
-      }
+      expect_bit_identical(reference_float_features(*model_, series),
+                           engine.features(series),
+                           std::string(simd::backend_name(b)) + " sample " +
+                               std::to_string(i));
     }
   }
 }
 
 TEST_F(ServeEngine, FloatLogitsBitIdenticalToReadoutOnReferenceFeatures) {
+  const ModelArtifactPtr artifact = model_->artifact();
   for (simd::Backend b : available_backends()) {
-    SimdInferenceEngine engine = make_simd_engine(*model_, b);
+    SimdInferenceEngine engine = make_simd_engine(artifact, b);
     for (std::size_t i = 0; i < pair_->test.size(); ++i) {
       const Matrix& series = pair_->test[i].series;
       const Vector reference = reference_float_logits(*model_, series);
-      const std::span<const double> logits = engine.infer(series);
-      ASSERT_EQ(logits.size(), reference.size());
-      double max_abs = 0.0;
-      for (double z : reference) max_abs = std::max(max_abs, std::fabs(z));
-      for (std::size_t c = 0; c < reference.size(); ++c) {
-        if (b == simd::Backend::kScalar && kScalarBackendIsExact) {
-          ASSERT_EQ(logits[c], reference[c]) << "sample " << i << " class " << c;
-        } else {
-          ASSERT_NEAR(logits[c], reference[c], 1e-9 * std::max(1.0, max_abs))
-              << simd::backend_name(b) << " sample " << i << " class " << c;
-        }
-      }
+      expect_bit_identical(reference, engine.infer(series),
+                           std::string(simd::backend_name(b)) + " sample " +
+                               std::to_string(i));
       EXPECT_EQ(engine.classify(series),
                 static_cast<int>(std::max_element(reference.begin(),
                                                   reference.end()) -
@@ -270,37 +253,29 @@ TEST_F(ServeEngine, ArtifactOverloadMatchesLoadedModelOverload) {
 }
 
 TEST_F(ServeEngine, EngineOutlivesTheLoadedModelItWasBuiltFrom) {
-  // The ownership contract: engines snapshot the model into a shared
-  // artifact, so a stack LoadedModel may die before the engine serves.
+  // The ownership contract: an engine shares the artifact snapshotted from
+  // a LoadedModel, so a stack LoadedModel may die before the engine serves.
   const Matrix& series = pair_->test[0].series;
-  const int expected = make_simd_engine(*model_).classify(series);
+  const int expected = make_simd_engine(model_->artifact()).classify(series);
   auto engine = [&] {
     const LoadedModel short_lived{model_->params, model_->mask,
                                   model_->nonlinearity, model_->readout,
                                   model_->chosen_beta};
-    return make_simd_engine(short_lived);
+    return make_simd_engine(short_lived.artifact());
   }();  // short_lived is gone; the engine's artifact keeps the weights alive
   EXPECT_EQ(engine.classify(series), expected);
 }
 
 TEST_F(ServeEngine, RejectsMalformedSeries) {
-  SimdInferenceEngine engine = make_simd_engine(*model_);
+  SimdInferenceEngine engine = make_simd_engine(model_->artifact());
   Matrix wrong_channels(5, model_->mask.channels() + 1);
   EXPECT_THROW(engine.classify(wrong_channels), CheckError);
   Matrix empty_series(0, model_->mask.channels());
   EXPECT_THROW(engine.classify(empty_series), CheckError);
 }
 
-TEST_F(ServeEngine, FeaturesOnlyDatapathRejectsInfer) {
-  SimdInferenceEngine engine(SimdFloatDatapath(model_->mask, model_->params,
-                                               model_->nonlinearity,
-                                               simd::active_backend()));
-  EXPECT_NO_THROW(engine.features(pair_->test[0].series));
-  EXPECT_THROW(engine.infer(pair_->test[0].series), CheckError);
-}
-
 TEST_F(ServeEngine, ClassifyIsAllocationFreeInSteadyState) {
-  SimdInferenceEngine engine = make_simd_engine(*model_);
+  SimdInferenceEngine engine = make_simd_engine(model_->artifact());
   SimdQuantizedInferenceEngine quant_engine = make_simd_engine(*quantized_);
   const Matrix& series = pair_->test[0].series;
   // Warmup: scratch was allocated at construction; nothing further is lazy,

@@ -1,13 +1,14 @@
 // Tests for the SIMD reservoir-step datapath (serve/simd_kernels.hpp,
 // SimdFloatDatapath): runtime dispatch and forcing (programmatic + DFR_SIMD
 // env), the exact-match contract on the mask/preadd stage, the padded DPRR
-// kernels bit for bit around the row alignment (with poisoned pad lanes
-// that must never reach features or logits), ULP-bounded equivalence of
-// finalized features against the scalar trajectory pipeline of
-// test_support.hpp across every nonlinearity and odd Nx sizes (Nx < vector
-// width, Nx not a multiple of it), classify_batch determinism under forced
-// dispatch, LoadedModel::infer, and the zero-steady-state-allocation
-// guarantee for the SIMD engine.
+// kernel bit for bit around the row alignment (with poisoned pad lanes that
+// must never reach features or logits), bit-identity of finalized features
+// and logits with the scalar trajectory pipeline of test_support.hpp across
+// every nonlinearity and odd Nx sizes (Nx < vector width, Nx not a multiple
+// of it), classify_batch determinism under forced dispatch,
+// LoadedModel::infer, and the zero-steady-state-allocation guarantee for the
+// SIMD engine. Strict on x86-64 (see the aarch64 caveat in
+// simd_kernels.hpp).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -71,6 +72,15 @@ std::uint64_t ordered_bits(double x) {
 // past it, and shapes that end in a partial vector.
 constexpr std::size_t kPaddingSizes[] = {1, 7, 8, 9, 30, 31, 50};
 
+/// An artifact around `mask`, `params` and `f`, with a zero readout, for the
+/// tests that exercise the float datapath's feature stages.
+ModelArtifactPtr artifact_for(const Mask& mask, const DfrParams& params,
+                              const Nonlinearity& f) {
+  return LoadedModel{params, mask, f, OutputLayer(2, dprr_dim(mask.nodes())),
+                     0.0}
+      .artifact();
+}
+
 // ---- dispatch plumbing -----------------------------------------------------
 
 TEST(SimdDispatch, BackendNamesRoundTrip) {
@@ -106,10 +116,10 @@ TEST(SimdDispatch, BestBackendPrefersWiderVectors) {
 
 // Run under CTest's `simd_forced_scalar` registration (ENVIRONMENT
 // DFR_SIMD=scalar) this asserts the env route end-to-end; under
-// `simd_forced_avx512` (DFR_SIMD=avx512) it asserts either the forced
-// AVX-512 dispatch (on capable hosts) or the unavailable-backend fallback
-// (elsewhere — which is how that registration "skips cleanly" on
-// non-AVX-512 runners); under `simd_env_fallback` (DFR_SIMD=avx999) it
+// `simd_forced_avx2` / `simd_forced_avx512` it asserts either the forced
+// dispatch (on capable hosts) or the unavailable-backend fallback
+// (elsewhere — which is how those registrations "skip cleanly" on runners
+// without the kernel set); under `simd_env_fallback` (DFR_SIMD=avx999) it
 // asserts the warn-and-fall-back route for unrecognized values; without the
 // env var it documents the default: best available backend.
 TEST(SimdDispatch, EnvForcedBackendIsHonored) {
@@ -258,7 +268,7 @@ TEST(SimdKernels, MaskStageBitExactAcrossBackends) {
       Vector ref(nx);
       mask.apply_into(u, ref);
       for (simd::Backend b : available_backends()) {
-        const SimdFloatDatapath datapath(mask, params, f, b);
+        const SimdFloatDatapath datapath(artifact_for(mask, params, f), b);
         Vector j(simd::padded_nodes(nx), 1.0);
         datapath.mask_into(u, j);
         for (std::size_t n = 0; n < nx; ++n) {
@@ -304,23 +314,6 @@ Vector padded_dprr(simd::DprrAddFn kernel, const std::vector<Vector>& xs,
   return r;
 }
 
-/// The float-family reference: DprrAccumulator::add's loop with every
-/// cross-product accumulate fused (one rounding), as the vector backends'
-/// dprr_add computes it.
-Vector fma_dprr(const std::vector<Vector>& xs, std::size_t nx) {
-  Vector r(dprr_dim(nx), 0.0);
-  for (std::size_t k = 1; k < xs.size(); ++k) {
-    for (std::size_t i = 0; i < nx; ++i) {
-      const double xi = xs[k][i];
-      for (std::size_t j = 0; j < nx; ++j) {
-        r[i * nx + j] = std::fma(xi, xs[k - 1][j], r[i * nx + j]);
-      }
-      r[nx * nx + i] += xi;
-    }
-  }
-  return r;
-}
-
 std::vector<Vector> random_states(std::size_t steps, std::size_t nx, Rng& rng) {
   std::vector<Vector> xs(steps + 1, Vector(nx));
   for (Vector& x : xs) {
@@ -329,39 +322,26 @@ std::vector<Vector> random_states(std::size_t steps, std::size_t nx, Rng& rng) {
   return xs;
 }
 
-// dprr_add against the FMA-order reference and dprr_add_exact against
-// DprrAccumulator::add, bit for bit, on every backend at sizes below, at,
-// and just past the row alignment and at the serving shapes that end in a
-// partial vector. The scalar backend has no FMA: its float kernel rounds
-// twice, like DprrAccumulator.
+// dprr_add against DprrAccumulator::add, bit for bit, on every backend at
+// sizes below, at, and just past the row alignment and at the serving shapes
+// that end in a partial vector.
 TEST(SimdKernels, PaddedDprrBitIdenticalAtAwkwardSizes) {
   Rng rng(31);
   for (std::size_t nx : kPaddingSizes) {
     const std::vector<Vector> xs = random_states(40, nx, rng);
     DprrAccumulator exact(nx);
     for (std::size_t k = 1; k < xs.size(); ++k) exact.add(xs[k], xs[k - 1]);
-    const Vector fused = fma_dprr(xs, nx);
     for (simd::Backend b : available_backends()) {
-      const simd::Kernels& kernels = simd::kernels_for(b);
-      const Vector& float_ref =
-          b == simd::Backend::kScalar ? exact.features() : fused;
-      const Vector got = padded_dprr(kernels.dprr_add, xs, nx, 0.0);
-      const Vector got_exact = padded_dprr(kernels.dprr_add_exact, xs, nx, 0.0);
-      for (std::size_t i = 0; i < float_ref.size(); ++i) {
+      const Vector got =
+          padded_dprr(simd::kernels_for(b).dprr_add, xs, nx, 0.0);
+      for (std::size_t i = 0; i < got.size(); ++i) {
 #if defined(__x86_64__) || defined(_M_X64)
-        ASSERT_EQ(ordered_bits(got[i]), ordered_bits(float_ref[i]))
+        ASSERT_EQ(ordered_bits(got[i]), ordered_bits(exact.features()[i]))
             << simd::backend_name(b) << " dprr_add nx=" << nx << " i=" << i;
-        ASSERT_EQ(ordered_bits(got_exact[i]),
-                  ordered_bits(exact.features()[i]))
-            << simd::backend_name(b) << " dprr_add_exact nx=" << nx
-            << " i=" << i;
 #else
-        // The scalar references may be FMA-contracted off x86-64.
-        ASSERT_LE(ulp_distance(got[i], float_ref[i]), 64u)
+        // The scalar reference may be FMA-contracted off x86-64.
+        ASSERT_LE(ulp_distance(got[i], exact.features()[i]), 64u)
             << simd::backend_name(b) << " dprr_add nx=" << nx << " i=" << i;
-        ASSERT_LE(ulp_distance(got_exact[i], exact.features()[i]), 64u)
-            << simd::backend_name(b) << " dprr_add_exact nx=" << nx
-            << " i=" << i;
 #endif
       }
     }
@@ -381,24 +361,22 @@ TEST(SimdKernels, PadLanesNeverReachFeaturesOrLogits) {
     }
     const OutputLayer readout(std::move(w), Vector{0.1, -0.2, 0.3});
     for (simd::Backend b : available_backends()) {
-      const simd::Kernels& kernels = simd::kernels_for(b);
-      for (simd::DprrAddFn kernel : {kernels.dprr_add, kernels.dprr_add_exact}) {
-        const Vector clean = padded_dprr(kernel, xs, nx, 0.0);
-        const Vector clean_logits = readout.logits(clean);
-        for (double pad : {std::numeric_limits<double>::quiet_NaN(), -0.0}) {
-          const Vector dirty = padded_dprr(kernel, xs, nx, pad);
-          const Vector dirty_logits = readout.logits(dirty);
-          for (std::size_t i = 0; i < clean.size(); ++i) {
-            ASSERT_EQ(ordered_bits(dirty[i]), ordered_bits(clean[i]))
-                << simd::backend_name(b) << " nx=" << nx << " pad=" << pad
-                << " feature " << i;
-          }
-          for (std::size_t c = 0; c < clean_logits.size(); ++c) {
-            ASSERT_EQ(ordered_bits(dirty_logits[c]),
-                      ordered_bits(clean_logits[c]))
-                << simd::backend_name(b) << " nx=" << nx << " pad=" << pad
-                << " logit " << c;
-          }
+      const simd::DprrAddFn kernel = simd::kernels_for(b).dprr_add;
+      const Vector clean = padded_dprr(kernel, xs, nx, 0.0);
+      const Vector clean_logits = readout.logits(clean);
+      for (double pad : {std::numeric_limits<double>::quiet_NaN(), -0.0}) {
+        const Vector dirty = padded_dprr(kernel, xs, nx, pad);
+        const Vector dirty_logits = readout.logits(dirty);
+        for (std::size_t i = 0; i < clean.size(); ++i) {
+          ASSERT_EQ(ordered_bits(dirty[i]), ordered_bits(clean[i]))
+              << simd::backend_name(b) << " nx=" << nx << " pad=" << pad
+              << " feature " << i;
+        }
+        for (std::size_t c = 0; c < clean_logits.size(); ++c) {
+          ASSERT_EQ(ordered_bits(dirty_logits[c]),
+                    ordered_bits(clean_logits[c]))
+              << simd::backend_name(b) << " nx=" << nx << " pad=" << pad
+              << " logit " << c;
         }
       }
     }
@@ -423,8 +401,9 @@ TEST(SimdKernels, StepStageMatchesScalarReservoir) {
         x_prev[n] = rng.uniform(-1.0, 1.0);
       }
       reservoir.step(params, j, x_prev, ref);
+      const ModelArtifactPtr artifact = artifact_for(mask, params, f);
       for (simd::Backend b : available_backends()) {
-        const SimdFloatDatapath datapath(mask, params, f, b);
+        const SimdFloatDatapath datapath(artifact, b);
         datapath.step(j, x_prev, out);
         for (std::size_t n = 0; n < nx; ++n) {
 #if defined(__x86_64__) || defined(_M_X64)
@@ -442,13 +421,12 @@ TEST(SimdKernels, StepStageMatchesScalarReservoir) {
   }
 }
 
-// ---- pipeline equivalence: the documented ULP bound ------------------------
+// ---- pipeline equivalence: bit-identity ------------------------------------
 
 // Finalized features (full mask -> step -> DPRR -> finalize pipeline) for
-// every nonlinearity and odd Nx, on every available backend, against the
-// scalar trajectory pipeline: |diff| <= simd_feature_ulp_bound(T) ulps of
-// the largest-magnitude reference feature (see simd_kernels.hpp).
-TEST(SimdEquivalence, FeaturesWithinUlpBoundAcrossNonlinearitiesAndSizes) {
+// every nonlinearity and odd Nx, on every available backend, equal the
+// scalar trajectory pipeline bit for bit (see simd_kernels.hpp).
+TEST(SimdEquivalence, FeaturesBitIdenticalAcrossNonlinearitiesAndSizes) {
   const DfrParams params{0.1, 0.05};
   constexpr std::size_t kTLen = 40;
   constexpr std::size_t kChannels = 3;
@@ -460,24 +438,13 @@ TEST(SimdEquivalence, FeaturesWithinUlpBoundAcrossNonlinearitiesAndSizes) {
       const Matrix series = random_series(kTLen, kChannels, rng);
 
       const Vector ref = reference_float_features(mask, params, f, series);
-      const double tol = simd_feature_tolerance(ref, kTLen);
-
+      const ModelArtifactPtr artifact = artifact_for(mask, params, f);
       for (simd::Backend b : available_backends()) {
-        SimdInferenceEngine engine(SimdFloatDatapath(mask, params, f, b));
-        const std::span<const double> got = engine.features(series);
-        ASSERT_EQ(got.size(), ref.size());
-        for (std::size_t i = 0; i < ref.size(); ++i) {
-          if (b == simd::Backend::kScalar && kScalarBackendIsExact) {
-            // The scalar backend performs identical operations: bit-exact.
-            ASSERT_EQ(got[i], ref[i])
-                << nonlinearity_name(kind) << " nx=" << nx << " i=" << i;
-            continue;
-          }
-          ASSERT_LE(std::fabs(got[i] - ref[i]), tol)
-              << simd::backend_name(b) << " " << nonlinearity_name(kind)
-              << " nx=" << nx << " i=" << i << " ref=" << ref[i]
-              << " got=" << got[i];
-        }
+        SimdInferenceEngine engine = make_simd_engine(artifact, b);
+        expect_bit_identical(ref, engine.features(series),
+                             std::string(simd::backend_name(b)) + " " +
+                                 nonlinearity_name(kind) +
+                                 " nx=" + std::to_string(nx));
       }
     }
   }
@@ -487,43 +454,38 @@ TEST(SimdEquivalence, LogitsAndClassifyMatchFloatEngine) {
   const LoadedModel model =
       make_model(30, 2, 4, NonlinearityKind::kIdentity, 77);
   Rng rng(78);
+  const ModelArtifactPtr artifact = model.artifact();
   for (int sample = 0; sample < 8; ++sample) {
     const Matrix series = random_series(50, 2, rng);
     const Vector ref = reference_float_logits(model, series);
     const int ref_label = reference_float_label(model, series);
     for (simd::Backend b : available_backends()) {
-      SimdInferenceEngine engine = make_simd_engine(model, b);
-      const std::span<const double> got = engine.infer(series);
-      ASSERT_EQ(got.size(), ref.size());
-      double max_abs = 0.0;
-      for (double z : ref) max_abs = std::max(max_abs, std::fabs(z));
-      for (std::size_t c = 0; c < ref.size(); ++c) {
-        ASSERT_NEAR(got[c], ref[c], 1e-9 * std::max(1.0, max_abs))
-            << simd::backend_name(b) << " sample " << sample << " class " << c;
-      }
+      SimdInferenceEngine engine = make_simd_engine(artifact, b);
+      expect_bit_identical(ref, engine.infer(series),
+                           std::string(simd::backend_name(b)) + " sample " +
+                               std::to_string(sample));
       EXPECT_EQ(engine.classify(series), ref_label)
           << simd::backend_name(b) << " sample " << sample;
     }
   }
 }
 
-// LoadedModel::infer runs the SIMD float datapath: bit-identical to the SIMD
-// engine on the active backend, within the ULP contract of the scalar
-// trajectory pipeline.
+// LoadedModel::infer runs StreamingForward on the active backend:
+// bit-identical to the SIMD engine there and to the scalar trajectory
+// pipeline.
 TEST(SimdEquivalence, LoadedModelInferMatchesTheOracle) {
   const LoadedModel model = make_model(20, 2, 3, NonlinearityKind::kTanh, 5);
   Rng rng(6);
   const Matrix series = random_series(30, 2, rng);
   const Vector scalar = reference_float_logits(model, series);
-  SimdInferenceEngine engine = make_simd_engine(model);
+  SimdInferenceEngine engine = make_simd_engine(model.artifact());
   const std::span<const double> simd_z = engine.infer(series);
   const Vector infer_z = model.infer(series);
-  ASSERT_EQ(scalar.size(), simd_z.size());
   ASSERT_EQ(simd_z.size(), infer_z.size());
-  for (std::size_t c = 0; c < scalar.size(); ++c) {
-    EXPECT_EQ(simd_z[c], infer_z[c]);  // the same datapath and backend
-    EXPECT_NEAR(scalar[c], infer_z[c], 1e-9 * std::max(1.0, std::fabs(scalar[c])));
+  for (std::size_t c = 0; c < simd_z.size(); ++c) {
+    EXPECT_EQ(simd_z[c], infer_z[c]);  // the same stages and backend
   }
+  expect_bit_identical(scalar, infer_z, "LoadedModel::infer");
   EXPECT_EQ(model.classify(series), reference_float_label(model, series));
   EXPECT_EQ(model.classify(series), engine.classify(series));
 }
@@ -549,7 +511,7 @@ TEST(SimdBatch, ClassifyBatchDeterministicUnderForcedDispatch) {
     simd::force_backend(b);
     // Per-series reference on this backend's engine.
     std::vector<int> reference;
-    SimdInferenceEngine engine = make_simd_engine(model, b);
+    SimdInferenceEngine engine = make_simd_engine(model.artifact(), b);
     for (const Matrix& m : batch) reference.push_back(engine.classify(m));
     // Predictions must agree with the scalar pipeline on every backend...
     EXPECT_EQ(reference, scalar_ref) << simd::backend_name(b);
@@ -570,7 +532,7 @@ TEST(SimdEngine, ClassifyIsAllocationFreeInSteadyState) {
   std::vector<Matrix> batch;
   for (int i = 0; i < 8; ++i) batch.push_back(random_series(40, 2, rng));
 
-  SimdInferenceEngine engine = make_simd_engine(model);
+  SimdInferenceEngine engine = make_simd_engine(model.artifact());
   for (const Matrix& m : batch) engine.classify(m);  // warmup
 
   const std::size_t before = g_allocations.load();

@@ -1,11 +1,10 @@
 // Tests for the SIMD quantized datapath (SimdQuantizedDatapath +
-// the quantized kernel family of serve/simd_kernels.hpp). The contract is
-// STRICTER than the float SIMD suite's: fixed-point rounding is exact, so
-// quantized SIMD results are asserted BIT-IDENTICAL (EXPECT_EQ) to the
-// scalar fixed-point reference loop of test_support.hpp — across every
-// FixedPointFormat configuration, every nonlinearity, odd Nx sizes, and
-// every available backend, at the stage level (vector round-to-format) and
-// end to end (features, logits, classify, batch, quantized_accuracy). Also
+// the quantized kernel family of serve/simd_kernels.hpp). As in the float
+// SIMD suite, results are asserted BIT-IDENTICAL (EXPECT_EQ) to the scalar
+// reference — here the fixed-point reference loop of test_support.hpp —
+// across every FixedPointFormat configuration, every nonlinearity, odd Nx
+// sizes, and every available backend, at the stage level (vector
+// round-to-format) and end to end (features, logits, classify, batch, quantized_accuracy). Also
 // pins the zero-steady-state-allocation guarantee for the SIMD quantized
 // engine. (On aarch64 the scalar reference may FMA-contract the B-chain;
 // the strict assertions are x86-64's, mirroring test_simd's step-stage
@@ -62,29 +61,6 @@ std::vector<QuantizedInferenceConfig> format_configs() {
       QuantizedInferenceConfig{{1, 14}, {10, 21}, {3, 12}},
       QuantizedInferenceConfig{{3, 2}, {6, 4}, {3, 2}},
   };
-}
-
-/// `step` is the comparison's quantization granularity: the feature-format
-/// resolution for feature vectors, a weight-amplified multiple of it for
-/// logits (one flipped feature step propagates through the readout row), and
-/// 0 for values not on a grid. Only the non-x86 branch consumes it.
-void expect_bit_identical(std::span<const double> expected,
-                          std::span<const double> got,
-                          const std::string& context, double step = 0.0) {
-  ASSERT_EQ(expected.size(), got.size()) << context;
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-#if defined(__x86_64__) || defined(_M_X64)
-    (void)step;
-    ASSERT_EQ(expected[i], got[i]) << context << " i=" << i;
-#else
-    // Non-x86 scalar baselines may FMA-contract (see the file header); a
-    // round-to-format tie decided differently then shifts a value by one
-    // full format step, so the tolerance must absorb `step`, not just ulps.
-    ASSERT_NEAR(expected[i], got[i],
-                1e-12 + 1e-9 * std::fabs(expected[i]) + 1.000001 * step)
-        << context << " i=" << i;
-#endif
-  }
 }
 
 // ---- stage level: the vector round-to-format --------------------------------
@@ -169,8 +145,8 @@ TEST(QuantKernels, QuantPreaddNonlinBitExactAcrossBackends) {
   }
 }
 
-// dprr_add_exact against DprrAccumulator::add over many accumulation steps:
-// no FMA means no drift — strict equality even after hundreds of rounds.
+// dprr_add against DprrAccumulator::add over many accumulation steps: no
+// FMA means no drift — strict equality even after hundreds of rounds.
 TEST(QuantKernels, DprrAddExactBitExactAcrossBackends) {
   Rng rng(17);
   for (std::size_t nx : kOddSizes) {
@@ -198,8 +174,8 @@ TEST(QuantKernels, DprrAddExactBitExactAcrossBackends) {
     for (simd::Backend b : available_backends()) {
       Vector acc(simd::padded_dprr_size(nx), 0.0);
       for (std::size_t k = 1; k <= kSteps; ++k) {
-        simd::kernels_for(b).dprr_add_exact(acc.data(), padded[k].data(),
-                                            padded[k - 1].data(), nx, stride);
+        simd::kernels_for(b).dprr_add(acc.data(), padded[k].data(),
+                                      padded[k - 1].data(), nx, stride);
       }
       Vector r(dprr_dim(nx), 0.0);
       for (std::size_t i = 0; i <= nx; ++i) {

@@ -1,6 +1,7 @@
 #pragma once
 // Shared test helpers: the scalar references the serving datapaths are held
-// to, plus the backend, series and model fixtures several suites use.
+// to, the bit-identity assertion they are held with, plus the backend,
+// series and model fixtures several suites use.
 //
 // The references live here, outside src/serve/, so an oracle never shares
 // code with the datapath it checks:
@@ -12,11 +13,12 @@
 //     calibrated QuantizedDfr (masked input, node states and features each
 //     rounded to their formats); logits and labels come from
 //     QuantizedDfr::quantized_readout().
-#include <algorithm>
+#include <gtest/gtest.h>
+
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -101,26 +103,33 @@ inline int reference_quantized_label(const QuantizedDfr& qdfr,
       reference_quantized_features(qdfr, series));
 }
 
-/// The float SIMD contract as an absolute tolerance: simd_feature_ulp_bound(T)
-/// ulps of the reference feature vector's largest-magnitude entry (see
-/// simd_kernels.hpp).
-inline double simd_feature_tolerance(std::span<const double> reference,
-                                     std::size_t t_len) {
-  double max_abs = 0.0;
-  for (double r : reference) max_abs = std::max(max_abs, std::fabs(r));
-  return (std::nextafter(max_abs, std::numeric_limits<double>::infinity()) -
-          max_abs) *
-         static_cast<double>(simd::simd_feature_ulp_bound(t_len));
-}
+// ---- the equivalence assertion ---------------------------------------------
 
-/// The scalar kernel backend performs the float reference's operations in
-/// its order, so it is bit-identical to it where the reference itself cannot
-/// be FMA-contracted: on x86-64. Elsewhere it is held to the ULP bound.
+/// Every datapath, float and quantized, on every backend, equals its scalar
+/// reference bit for bit (see the contract in serve/simd_kernels.hpp).
+/// Asserts that on x86-64. `step` is the comparison's quantization
+/// granularity: the feature-format resolution for quantized feature vectors,
+/// a weight-amplified multiple of it for quantized logits (one flipped
+/// feature step propagates through the readout row), and 0 for values not
+/// on a grid. Only the non-x86 branch consumes it.
+inline void expect_bit_identical(std::span<const double> expected,
+                                 std::span<const double> got,
+                                 const std::string& context, double step = 0.0) {
+  ASSERT_EQ(expected.size(), got.size()) << context;
+  for (std::size_t i = 0; i < expected.size(); ++i) {
 #if defined(__x86_64__) || defined(_M_X64)
-inline constexpr bool kScalarBackendIsExact = true;
+    (void)step;
+    ASSERT_EQ(expected[i], got[i]) << context << " i=" << i;
 #else
-inline constexpr bool kScalarBackendIsExact = false;
+    // Non-x86 scalar baselines may FMA-contract (see simd_kernels.hpp); a
+    // round-to-format tie decided differently then shifts a value by one
+    // full format step, so the tolerance must absorb `step`, not just ulps.
+    ASSERT_NEAR(expected[i], got[i],
+                1e-12 + 1e-9 * std::fabs(expected[i]) + 1.000001 * step)
+        << context << " i=" << i;
 #endif
+  }
+}
 
 // ---- backends ----------------------------------------------------------------
 

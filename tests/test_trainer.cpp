@@ -190,8 +190,8 @@ GridSearchConfig small_grid_config() {
 // ---- bit-identity across SIMD backends -------------------------------------
 //
 // Training runs its truncated forward and its feature extraction on the
-// dispatched kernel table with the exact (no-FMA) DPRR accumulate, so every
-// result must be EXPECT_EQ-identical on every backend the host runs.
+// dispatched kernel table, whose kernels never fuse a multiply and add, so
+// every result must be EXPECT_EQ-identical on every backend the host runs.
 
 void expect_same_model(const TrainResult& want, const TrainResult& got,
                        const std::string& where) {
