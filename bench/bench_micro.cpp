@@ -9,9 +9,10 @@
 //     sweep) at the tune workload's ECG / JPVOW / LIB shapes, on every
 //     backend;
 //   * the single-series SIMD serving path stage by stage (mask, preadd +
-//     nonlinearity, B-chain, DPRR accumulate, readout) and whole, on every
-//     backend this host runs (chosen with simd::force_backend), at
-//     Nx in {7, 30, 31, 50};
+//     nonlinearity, the fused B-chain + DPRR accumulate, the DPRR accumulate
+//     alone, the quantized round-to-format and preadd + nonlinearity,
+//     readout) and whole, on every backend this host runs (chosen with
+//     simd::force_backend), at Nx in {7, 30, 31, 50};
 //   * the batched SoA DPRR accumulate at Nx in {30, 50} and 1/2/4/8/16 lanes
 //     (BM_SimdBatchedDprrAdd/<backend>/<Nx>/<lanes>).
 // Backend ids in the case names follow simd::Backend (0 scalar, 1 avx2,
@@ -267,18 +268,20 @@ void BM_SimdPreaddNonlin(benchmark::State& state) {
   }
 }
 
-void BM_SimdBChain(benchmark::State& state) {
+// The fused B-chain + DPRR accumulate of one step (bchain_dprr_add). The
+// chain runs in place, so each iteration restarts from the same preadd output
+// (a one-row copy, small next to the serial chain).
+void BM_SimdBChainDprrAdd(benchmark::State& state) {
   select_backend(state);
   StageFixture fx(static_cast<std::size_t>(state.range(1)),
                   simd::active_backend());
-  // The chain runs in place, so each iteration restarts from the same
-  // preadd output (a one-row copy, small next to the serial chain).
+  const simd::Kernels& kernels = simd::active_kernels();
   const simd::AlignedVector v = fx.x_cur;
   for (auto _ : state) {
     std::copy(v.begin(), v.end(), fx.x_cur.begin());
-    simd::float_bchain(fx.model->params.b, fx.x_prev[fx.nx - 1],
-                       fx.x_cur.data(), fx.nx);
-    benchmark::DoNotOptimize(fx.x_cur.data());
+    kernels.bchain_dprr_add(fx.model->params.b, fx.x_prev.data(),
+                            fx.x_cur.data(), fx.acc.data(), fx.nx, fx.stride);
+    benchmark::DoNotOptimize(fx.acc.data());
     benchmark::ClobberMemory();
   }
 }
@@ -292,6 +295,40 @@ void BM_SimdDprrAdd(benchmark::State& state) {
     kernels.dprr_add(fx.acc.data(), fx.x_cur.data(), fx.x_prev.data(), fx.nx,
                      fx.stride);
     benchmark::DoNotOptimize(fx.acc.data());
+    benchmark::ClobberMemory();
+  }
+}
+
+// The quantized single-series stages, in the Q4.11 state format of the
+// default QuantizationConfig: the masked-input round-to-format over a whole
+// padded row (as SimdQuantizedDatapath::mask_into runs it) and the quantized
+// preadd + nonlinearity over the Nx nodes.
+void BM_SimdScaleQuantize(benchmark::State& state) {
+  select_backend(state);
+  StageFixture fx(static_cast<std::size_t>(state.range(1)),
+                  simd::active_backend());
+  const simd::Kernels& kernels = simd::active_kernels();
+  const FixedPointFormat fmt(4, 11);
+  for (auto _ : state) {
+    // Scaling by 1 leaves a quantized row unchanged, so every iteration
+    // rounds the same values.
+    kernels.scale_quantize(fmt, 1.0, fx.j.data(), fx.j.size());
+    benchmark::DoNotOptimize(fx.j.data());
+    benchmark::ClobberMemory();
+  }
+}
+
+void BM_SimdQuantPreaddNonlin(benchmark::State& state) {
+  select_backend(state);
+  StageFixture fx(static_cast<std::size_t>(state.range(1)),
+                  simd::active_backend());
+  const simd::Kernels& kernels = simd::active_kernels();
+  const FixedPointFormat fmt(4, 11);
+  for (auto _ : state) {
+    kernels.quant_preadd_nonlin(fx.model->nonlinearity, fx.model->params.a,
+                                fmt, fx.j.data(), fx.x_prev.data(),
+                                fx.x_cur.data(), fx.nx);
+    benchmark::DoNotOptimize(fx.x_cur.data());
     benchmark::ClobberMemory();
   }
 }
@@ -413,10 +450,12 @@ void BM_TrainForward(benchmark::State& state) {
   }
 }
 
+// Into one reused record, as the trainer runs it.
 void BM_TrainOutputBackward(benchmark::State& state) {
   const TrainFixture fx(select_train_case(state));
+  OutputLayer::Backward grads;
   for (auto _ : state) {
-    auto grads = fx.output.backward(fx.fwd.dprr, fx.label);
+    fx.output.backward_into(fx.fwd.dprr, fx.label, grads);
     benchmark::DoNotOptimize(grads.dfeatures.data());
   }
 }
@@ -494,8 +533,10 @@ void register_stage_benchmarks() {
   const std::pair<const char*, void (*)(benchmark::State&)> stages[] = {
       {"BM_SimdMask", BM_SimdMask},
       {"BM_SimdPreaddNonlin", BM_SimdPreaddNonlin},
-      {"BM_SimdBChain", BM_SimdBChain},
+      {"BM_SimdBChainDprrAdd", BM_SimdBChainDprrAdd},
       {"BM_SimdDprrAdd", BM_SimdDprrAdd},
+      {"BM_SimdScaleQuantize", BM_SimdScaleQuantize},
+      {"BM_SimdQuantPreaddNonlin", BM_SimdQuantPreaddNonlin},
       {"BM_SimdReadout", BM_SimdReadout},
       {"BM_SimdInfer", BM_SimdInfer},
   };

@@ -68,6 +68,11 @@ class Dataset {
   [[nodiscard]] std::pair<Dataset, Dataset> stratified_split(
       double first_fraction, class Rng& rng) const;
 
+  /// The sample indices of stratified_split's two parts, each ascending;
+  /// draws from `rng` exactly as stratified_split does.
+  [[nodiscard]] std::pair<std::vector<std::size_t>, std::vector<std::size_t>>
+  stratified_split_indices(double first_fraction, class Rng& rng) const;
+
  private:
   std::string name_;
   int num_classes_ = 0;

@@ -159,10 +159,10 @@ void StreamingForward::stream(const DfrParams& params, const Matrix& series) {
     double* x = states_.data() + next * stride_;
     // j(k) = M u(k), nodes across the vector lanes, in dot()'s order.
     kernels_->batched_mask(u, 1, channels_, mask_t_.data(), j, stride_);
-    // x(k)_n = A f~(j(k)_n + x(k-1)_n) + B x(k)_{n-1}, the serving engine's
-    // step.
-    simd::float_step(*kernels_, f_, params, j, x_prev, x, nx_);
-    kernels_->dprr_add(dprr_.data(), x, x_prev, nx_, stride_);
+    // x(k)_n = A f~(j(k)_n + x(k-1)_n) + B x(k)_{n-1} and
+    // dprr += x(k) x(k-1)^T, the serving engine's step.
+    simd::float_step(*kernels_, f_, params, j, x_prev, x, dprr_.data(), nx_,
+                     stride_);
     cur = next;
     j_slot = j_slot + 1 == kept_ ? 0 : j_slot + 1;
   }

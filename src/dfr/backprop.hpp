@@ -21,8 +21,9 @@
 //
 // The streaming forward runs on the runtime-dispatched kernel table of
 // serve/simd_kernels.hpp, over its padded single-series layout: per time step
-// batched_mask, simd::float_step (preadd_nonlin, then the scalar B-chain),
-// then dprr_add — the float serving engine's stages. Every stage performs
+// batched_mask, then simd::float_step (preadd_nonlin, then bchain_dprr_add:
+// the serial B-chain with each DPRR row accumulated as soon as its node
+// exists) — the float serving engine's stages. Every stage performs
 // the scalar pipeline's operations in the same order (mask.apply /
 // ModularReservoir::step / DprrAccumulator::add), so its dprr, tail states
 // and tail inputs are bit-identical to run_forward_full on every backend, and

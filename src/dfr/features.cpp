@@ -6,13 +6,16 @@
 
 namespace dfr {
 
-FeatureMatrix compute_features(const ModularReservoir& reservoir,
-                               const DfrParams& params, const Mask& mask,
-                               const Dataset& dataset,
-                               RepresentationKind representation,
-                               unsigned threads) {
-  DFR_CHECK(!dataset.empty());
-  const std::size_t n = dataset.size();
+namespace {
+
+/// Features of `n` samples, row i from sample_at(i).
+template <typename SampleAt>
+FeatureMatrix compute_features_impl(const ModularReservoir& reservoir,
+                                    const DfrParams& params, const Mask& mask,
+                                    std::size_t n, const SampleAt& sample_at,
+                                    RepresentationKind representation,
+                                    unsigned threads) {
+  DFR_CHECK(n > 0);
   const std::size_t dim = representation_dim(representation, reservoir.nodes());
 
   FeatureMatrix out;
@@ -30,7 +33,7 @@ FeatureMatrix compute_features(const ModularReservoir& reservoir,
     for_each_with_engine(
         n, threads, [&] { return StreamingForward(reservoir, mask, 1); },
         [&](StreamingForward& forward, std::size_t i) {
-          const Sample& sample = dataset[i];
+          const Sample& sample = sample_at(i);
           forward.features_into(params, sample.series, out.features.row(i));
           out.labels[i] = sample.label;
         });
@@ -44,7 +47,7 @@ FeatureMatrix compute_features(const ModularReservoir& reservoir,
   parallel_for(
       n,
       [&](std::size_t i) {
-        const Sample& sample = dataset[i];
+        const Sample& sample = sample_at(i);
         const Matrix states = reservoir.run_series(mask, sample.series, params);
         const Vector r = compute_representation(representation, states);
         out.features.set_row(i, r);
@@ -52,6 +55,31 @@ FeatureMatrix compute_features(const ModularReservoir& reservoir,
       },
       {.threads = threads});
   return out;
+}
+
+}  // namespace
+
+FeatureMatrix compute_features(const ModularReservoir& reservoir,
+                               const DfrParams& params, const Mask& mask,
+                               const Dataset& dataset,
+                               RepresentationKind representation,
+                               unsigned threads) {
+  return compute_features_impl(
+      reservoir, params, mask, dataset.size(),
+      [&](std::size_t i) -> const Sample& { return dataset[i]; },
+      representation, threads);
+}
+
+FeatureMatrix compute_features(const ModularReservoir& reservoir,
+                               const DfrParams& params, const Mask& mask,
+                               const Dataset& dataset,
+                               std::span<const std::size_t> rows,
+                               RepresentationKind representation,
+                               unsigned threads) {
+  return compute_features_impl(
+      reservoir, params, mask, rows.size(),
+      [&](std::size_t i) -> const Sample& { return dataset[rows[i]]; },
+      representation, threads);
 }
 
 Matrix one_hot(const std::vector<int>& labels, int num_classes) {

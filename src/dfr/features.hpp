@@ -6,6 +6,7 @@
 // sample through StreamingForward (dfr/backprop.hpp) on the dispatched
 // kernel table; its rows are bit-identical on every backend.
 
+#include <span>
 #include <vector>
 
 #include "data/dataset.hpp"
@@ -26,6 +27,16 @@ struct FeatureMatrix {
 FeatureMatrix compute_features(const ModularReservoir& reservoir,
                                const DfrParams& params, const Mask& mask,
                                const Dataset& dataset,
+                               RepresentationKind representation,
+                               unsigned threads = 1);
+
+/// Features of the samples `rows` of `dataset`, in that order: row i holds
+/// the features and label of dataset[rows[i]], bit-identical to that
+/// sample's row in the whole-dataset overload.
+FeatureMatrix compute_features(const ModularReservoir& reservoir,
+                               const DfrParams& params, const Mask& mask,
+                               const Dataset& dataset,
+                               std::span<const std::size_t> rows,
                                RepresentationKind representation,
                                unsigned threads = 1);
 

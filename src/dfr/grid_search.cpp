@@ -3,6 +3,7 @@
 #include <cmath>
 #include <limits>
 #include <optional>
+#include <span>
 
 #include "dfr/features.hpp"
 #include "util/check.hpp"
@@ -25,65 +26,48 @@ std::vector<double> grid_points(double lo, double hi, std::size_t divs) {
 
 namespace {
 
+/// A candidate is invalid when its reservoir diverges (non-finite states)
+/// or its feature magnitudes overflow the normal-equation products (the
+/// Gram matrix saturates to inf and Cholesky rejects it).
+bool usable(const Matrix& features) {
+  return features.all_finite() && features.max_abs() < 1e120;
+}
+
 GridCandidate evaluate_candidate(const GridSearchConfig& config,
                                  const ModularReservoir& reservoir,
-                                 const Mask& mask, const Dataset& fit_split,
-                                 const Dataset& val_split, const Dataset& train,
-                                 const Dataset& test, double a, double b) {
+                                 const Mask& mask,
+                                 std::span<const std::size_t> fit_rows,
+                                 std::span<const std::size_t> val_rows,
+                                 const Dataset& train, const Dataset& test,
+                                 double a, double b) {
   GridCandidate out;
   out.a = a;
   out.b = b;
   const DfrParams params{a, b};
-
-  // A candidate is invalid when its reservoir diverges (non-finite states)
-  // or its feature magnitudes overflow the normal-equation products (the
-  // Gram matrix saturates to inf and Cholesky rejects it).
-  auto usable = [](const FeatureMatrix& fm) {
-    return fm.features.all_finite() && fm.features.max_abs() < 1e120;
-  };
   auto invalidate = [&out] {
     out.valid = false;
     out.validation_loss = std::numeric_limits<double>::infinity();
   };
 
   try {
-    {
-      // Selection in its own scope: its features and candidate layers are
-      // freed before the refit builds the train/test sets, so a candidate
-      // holds one phase's features at a time.
-      const FeatureMatrix fit_features = compute_features(
-          reservoir, params, mask, fit_split, RepresentationKind::kDprr);
-      const FeatureMatrix val_features = compute_features(
-          reservoir, params, mask, val_split, RepresentationKind::kDprr);
-      if (!usable(fit_features) || !usable(val_features)) {
-        invalidate();
-        return out;
-      }
-      const RidgeSweep sweep = sweep_ridge(fit_features, val_features,
-                                           train.num_classes(), config.betas);
-      out.beta = sweep.best().beta;
-      out.validation_loss = sweep.best().selection_loss;
-    }
-
-    // Refit on the full training split with the chosen beta, then score test;
-    // the training features are freed before the test features exist.
-    std::optional<OutputLayer> layer;
-    {
-      const FeatureMatrix train_features = compute_features(
-          reservoir, params, mask, train, RepresentationKind::kDprr);
-      if (!usable(train_features)) {
-        invalidate();
-        return out;
-      }
-      layer.emplace(fit_ridge(train_features, train.num_classes(), out.beta));
-    }
-    const FeatureMatrix test_features = compute_features(
-        reservoir, params, mask, test, RepresentationKind::kDprr);
-    if (!usable(test_features)) {
+    // Selection and refit share one pass over the training features, which
+    // is freed before the test features exist.
+    const std::optional<ReadoutFit> readout =
+        fit_readout_on_split(reservoir, params, mask, train, fit_rows,
+                             val_rows, config.betas, 1, &usable);
+    if (!readout) {
       invalidate();
       return out;
     }
-    out.test_accuracy = evaluate_accuracy(*layer, test_features);
+    out.beta = readout->beta;
+    out.validation_loss = readout->validation_loss;
+    const FeatureMatrix test_features = compute_features(
+        reservoir, params, mask, test, RepresentationKind::kDprr);
+    if (!usable(test_features.features)) {
+      invalidate();
+      return out;
+    }
+    out.test_accuracy = evaluate_accuracy(readout->layer, test_features);
     out.valid = true;
   } catch (const CheckError&) {
     invalidate();  // numerically degenerate normal equations
@@ -105,12 +89,8 @@ GridLevelResult run_grid_level(const GridSearchConfig& config, const Dataset& tr
   const ModularReservoir reservoir(config.nodes, f);
   const Mask mask(config.nodes, train.channels(), config.mask_kind, rng);
   Rng split_rng = rng.fork(0x5B1D);
-  auto [fit_split, val_split] =
-      train.stratified_split(1.0 - config.validation_fraction, split_rng);
-  if (fit_split.empty() || val_split.empty()) {
-    fit_split = train;
-    val_split = train;
-  }
+  const auto [fit_rows, val_rows] = train.stratified_split_indices(
+      1.0 - config.validation_fraction, split_rng);
 
   const std::vector<double> log_a =
       grid_points(config.log10_a_min, config.log10_a_max, divs);
@@ -130,7 +110,7 @@ GridLevelResult run_grid_level(const GridSearchConfig& config, const Dataset& tr
         const double a = std::pow(10.0, log_a[idx / divs]);
         const double b = std::pow(10.0, log_b[idx % divs]);
         result.candidates[idx] = evaluate_candidate(
-            config, reservoir, mask, fit_split, val_split, train, test, a, b);
+            config, reservoir, mask, fit_rows, val_rows, train, test, a, b);
       },
       {.threads = config.threads});
 

@@ -7,16 +7,25 @@
 
 namespace dfr {
 
-Vector softmax(std::span<const double> logits) {
-  DFR_CHECK(!logits.empty());
-  const double zmax = *std::max_element(logits.begin(), logits.end());
-  Vector probs(logits.size());
+namespace {
+
+/// softmax() in place: `values` holds logits on entry, probabilities on exit.
+void softmax_in_place(std::span<double> values) {
+  DFR_CHECK(!values.empty());
+  const double zmax = *std::max_element(values.begin(), values.end());
   double sum = 0.0;
-  for (std::size_t i = 0; i < logits.size(); ++i) {
-    probs[i] = std::exp(logits[i] - zmax);
-    sum += probs[i];
+  for (double& v : values) {
+    v = std::exp(v - zmax);
+    sum += v;
   }
-  for (double& p : probs) p /= sum;
+  for (double& p : values) p /= sum;
+}
+
+}  // namespace
+
+Vector softmax(std::span<const double> logits) {
+  Vector probs(logits.begin(), logits.end());
+  softmax_in_place(probs);
   return probs;
 }
 
@@ -66,12 +75,20 @@ double OutputLayer::loss(std::span<const double> features, int label) const {
 OutputLayer::Backward OutputLayer::backward(std::span<const double> features,
                                             int label) const {
   Backward out;
-  out.probs = probabilities(features);
-  out.loss = cross_entropy(out.probs, label);
-  out.dlogits = out.probs;
-  out.dlogits[static_cast<std::size_t>(label)] -= 1.0;
-  out.dfeatures = matvec_t(w_, out.dlogits);
+  backward_into(features, label, out);
   return out;
+}
+
+void OutputLayer::backward_into(std::span<const double> features, int label,
+                                Backward& out) const {
+  out.probs.resize(w_.rows());
+  logits_into(features, out.probs);
+  softmax_in_place(out.probs);
+  out.loss = cross_entropy(out.probs, label);
+  out.dlogits.assign(out.probs.begin(), out.probs.end());
+  out.dlogits[static_cast<std::size_t>(label)] -= 1.0;
+  out.dfeatures.resize(w_.cols());
+  matvec_t_into(w_, out.dlogits, out.dfeatures);
 }
 
 void OutputLayer::apply_gradient(const Backward& grad,

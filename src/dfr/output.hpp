@@ -49,6 +49,12 @@ class OutputLayer {
   };
   [[nodiscard]] Backward backward(std::span<const double> features, int label) const;
 
+  /// backward() into a caller-owned record whose vectors are reused: once
+  /// they have their sizes, a call allocates nothing. Same arithmetic, in the
+  /// same order, as backward().
+  void backward_into(std::span<const double> features, int label,
+                     Backward& out) const;
+
   /// SGD update from a Backward record: W -= lr (y-d) r^T, b -= lr (y-d).
   void apply_gradient(const Backward& grad, std::span<const double> features,
                       double lr);

@@ -1,5 +1,6 @@
 #include "dfr/ridge.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -127,6 +128,72 @@ RidgeSweep sweep_ridge(const FeatureMatrix& train, const FeatureMatrix& selectio
     sweep.candidates.push_back(std::move(candidate));
   }
   return sweep;
+}
+
+std::optional<ReadoutFit> fit_readout_on_split(
+    const ModularReservoir& reservoir, const DfrParams& params,
+    const Mask& mask, const Dataset& train, std::span<const std::size_t> fit,
+    std::span<const std::size_t> val, const std::vector<double>& betas,
+    unsigned threads, bool (*usable)(const Matrix&)) {
+  const bool split = !fit.empty() && !val.empty();
+  std::vector<std::size_t> order;  // sample of each row, fit rows first
+  if (split) {
+    DFR_CHECK_MSG(fit.size() + val.size() == train.size(),
+                  "fit and validation rows must partition the training set");
+    order.assign(fit.begin(), fit.end());
+    order.insert(order.end(), val.begin(), val.end());
+  }
+  FeatureMatrix all =
+      split ? compute_features(reservoir, params, mask, train, order,
+                               RepresentationKind::kDprr, threads)
+            : compute_features(reservoir, params, mask, train,
+                               RepresentationKind::kDprr, threads);
+  if (usable != nullptr && !usable(all.features)) return std::nullopt;
+
+  const std::size_t dim = all.features.cols();
+  double beta = 0.0;
+  double validation_loss = 0.0;
+  {
+    // The sweep's candidate layers are freed before the refit allocates.
+    const std::size_t n_fit = split ? fit.size() : train.size();
+    const auto view = [&](std::size_t first, std::size_t count) {
+      const auto labels =
+          all.labels.begin() + static_cast<std::ptrdiff_t>(first);
+      return FeatureMatrix{
+          Matrix::borrow(all.features.data() + first * dim, count, dim),
+          std::vector<int>(labels, labels + static_cast<std::ptrdiff_t>(count))};
+    };
+    const RidgeSweep sweep =
+        split ? sweep_ridge(view(0, n_fit), view(n_fit, val.size()),
+                            train.num_classes(), betas)
+              : sweep_ridge(all, all, train.num_classes(), betas);
+    beta = sweep.best().beta;
+    validation_loss = sweep.best().selection_loss;
+  }
+
+  if (split) {
+    // Row r holds sample order[r]: follow each cycle of the permutation,
+    // carrying one row, until every row sits at its sample's index.
+    Vector carry(dim);
+    std::vector<bool> placed(order.size(), false);
+    for (std::size_t start = 0; start < order.size(); ++start) {
+      if (placed[start] || order[start] == start) continue;
+      const auto row = all.features.row(start);
+      std::copy(row.begin(), row.end(), carry.begin());
+      int carry_label = all.labels[start];
+      std::size_t pos = start;
+      do {
+        const std::size_t dst = order[pos];
+        const auto dst_row = all.features.row(dst);
+        std::swap_ranges(carry.begin(), carry.end(), dst_row.begin());
+        std::swap(carry_label, all.labels[dst]);
+        placed[pos] = true;
+        pos = dst;
+      } while (pos != start);
+    }
+  }
+  return ReadoutFit{beta, validation_loss,
+                    fit_ridge(all, train.num_classes(), beta)};
 }
 
 double evaluate_loss(const OutputLayer& layer, const FeatureMatrix& data) {

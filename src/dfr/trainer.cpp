@@ -63,6 +63,7 @@ TrainResult Trainer::fit(const Dataset& train) const {
   std::optional<StreamingForward> forward;
   if (!full_bptt) forward.emplace(reservoir, mask, window);
   TruncatedForward fwd;
+  OutputLayer::Backward out_grads;  // reused for every sample
 
   Timer sgd_timer;
   std::vector<std::size_t> order(train.size());
@@ -84,13 +85,12 @@ TrainResult Trainer::fit(const Dataset& train) const {
       // time_scale * dL/d(avg).
       const double time_scale = dprr_time_scale(sample.series.rows());
       ReservoirGradients res_grads;
-      OutputLayer::Backward out_grads;
       if (full_bptt) {
         FullForward full = run_forward_full(reservoir, params, mask, sample.series);
         result.stored_state_values =
             std::max(result.stored_state_values, full.stored_state_values());
         scale(full.dprr, time_scale);
-        out_grads = output.backward(full.dprr, sample.label);
+        output.backward_into(full.dprr, sample.label, out_grads);
         scale(out_grads.dfeatures, time_scale);
         res_grads = backprop_full(reservoir, params, full.states, full.j,
                                   out_grads.dfeatures, config_.threads);
@@ -100,7 +100,7 @@ TrainResult Trainer::fit(const Dataset& train) const {
         result.stored_state_values =
             std::max(result.stored_state_values, fwd.stored_state_values());
         scale(fwd.dprr, time_scale);
-        out_grads = output.backward(fwd.dprr, sample.label);
+        output.backward_into(fwd.dprr, sample.label, out_grads);
         scale(out_grads.dfeatures, time_scale);
         res_grads = backprop_through_dprr(reservoir, params, fwd.tail_states,
                                           fwd.tail_j, out_grads.dfeatures,
@@ -209,36 +209,18 @@ TrainResult Trainer::fit(const Dataset& train) const {
   result.sgd_seconds = sgd_timer.elapsed_seconds();
   result.params = params;
 
-  // Phase 2: ridge refit of the output layer with beta selection.
+  // Phase 2: ridge refit of the output layer with beta selection, from one
+  // feature pass over the training set.
   Timer ridge_timer;
-  {
-    // Beta selection in its own scope: its splits, features and candidate
-    // layers are freed before the refit builds the full feature set, so the
-    // phase holds one feature set at a time.
-    Rng split_rng = rng.fork(0x5B1D);
-    auto [fit_split, val_split] =
-        train.stratified_split(1.0 - config_.validation_fraction, split_rng);
-    if (val_split.empty() || fit_split.empty()) {
-      fit_split = train;
-      val_split = train;  // degenerate fallback for tiny datasets
-    }
-
-    const FeatureMatrix fit_features =
-        compute_features(reservoir, params, mask, fit_split,
-                         RepresentationKind::kDprr, config_.threads);
-    const FeatureMatrix val_features =
-        compute_features(reservoir, params, mask, val_split,
-                         RepresentationKind::kDprr, config_.threads);
-    const RidgeSweep sweep =
-        sweep_ridge(fit_features, val_features, train.num_classes(), config_.betas);
-    result.chosen_beta = sweep.best().beta;
-    result.validation_loss = sweep.best().selection_loss;
-  }
-
-  const FeatureMatrix all_features =
-      compute_features(reservoir, params, mask, train,
-                       RepresentationKind::kDprr, config_.threads);
-  result.readout = fit_ridge(all_features, train.num_classes(), result.chosen_beta);
+  Rng split_rng = rng.fork(0x5B1D);
+  const auto [fit_rows, val_rows] = train.stratified_split_indices(
+      1.0 - config_.validation_fraction, split_rng);
+  ReadoutFit readout =
+      *fit_readout_on_split(reservoir, params, mask, train, fit_rows, val_rows,
+                            config_.betas, config_.threads);
+  result.chosen_beta = readout.beta;
+  result.validation_loss = readout.validation_loss;
+  result.readout = std::move(readout.layer);
   result.ridge_seconds = ridge_timer.elapsed_seconds();
   result.mask = mask;
   return result;

@@ -227,15 +227,27 @@ void matvec_into(const Matrix& a, std::span<const double> x, std::span<double> y
 }
 
 Vector matvec_t(const Matrix& a, std::span<const double> x) {
-  DFR_CHECK_MSG(a.rows() == x.size(), "matvec_t shape mismatch");
   Vector y(a.cols(), 0.0);
-  for (std::size_t i = 0; i < a.rows(); ++i) {
+  matvec_t_into(a, x, y);
+  return y;
+}
+
+void matvec_t_into(const Matrix& a, std::span<const double> x,
+                   std::span<double> y) {
+  DFR_CHECK_MSG(a.rows() == x.size(), "matvec_t shape mismatch");
+  DFR_CHECK_MSG(a.cols() == y.size(), "matvec_t output length mismatch");
+  // Shape and storage hoisted: a store through `y` could otherwise alias
+  // them, and reloading them per element keeps the loop from vectorizing.
+  const std::size_t rows = a.rows(), cols = a.cols();
+  const double* data = a.data();
+  double* out = y.data();
+  std::fill_n(out, cols, 0.0);
+  for (std::size_t i = 0; i < rows; ++i) {
     const double xi = x[i];
     if (xi == 0.0) continue;
-    const double* ai = a.data() + i * a.cols();
-    for (std::size_t j = 0; j < a.cols(); ++j) y[j] += xi * ai[j];
+    const double* ai = data + i * cols;
+    for (std::size_t j = 0; j < cols; ++j) out[j] += xi * ai[j];
   }
-  return y;
 }
 
 Matrix gram_at_a(const Matrix& a, double lambda) {

@@ -175,6 +175,10 @@ void matvec_into(const Matrix& a, std::span<const double> x, std::span<double> y
 /// y = A^T * x.
 Vector matvec_t(const Matrix& a, std::span<const double> x);
 
+/// y = A^T * x into a caller-owned buffer (no allocation; y must not alias x).
+void matvec_t_into(const Matrix& a, std::span<const double> x,
+                   std::span<double> y);
+
 /// G = A^T A + lambda I   (symmetric; only needs one pass over A's rows).
 Matrix gram_at_a(const Matrix& a, double lambda = 0.0);
 

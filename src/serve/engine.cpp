@@ -55,12 +55,17 @@ void SimdFloatDatapath::mask_into(std::span<const double> input,
 
 void SimdFloatDatapath::step(std::span<const double> j,
                              std::span<const double> x_prev,
-                             std::span<double> x_out) const {
+                             std::span<double> x_out,
+                             std::span<double> dprr) const {
   const std::size_t nx = nodes();
-  DFR_DCHECK(j.size() >= nx && x_prev.size() >= nx && x_out.size() >= nx);
+  const std::size_t stride = simd::padded_nodes(nx);
+  DFR_DCHECK(j.size() >= nx && x_prev.size() >= stride &&
+             x_out.size() >= stride &&
+             dprr.size() >= simd::padded_dprr_size(nx));
   DFR_DCHECK(x_out.data() != x_prev.data() && x_out.data() != j.data());
   simd::float_step(*kernels_, artifact_->nonlinearity, artifact_->params,
-                   j.data(), x_prev.data(), x_out.data(), nx);
+                   j.data(), x_prev.data(), x_out.data(), dprr.data(), nx,
+                   stride);
 }
 
 void SimdFloatDatapath::finalize(Vector& r, std::size_t t_len) const {
@@ -102,9 +107,13 @@ void SimdQuantizedDatapath::mask_into(std::span<const double> input,
 
 void SimdQuantizedDatapath::step(std::span<const double> j,
                                  std::span<const double> x_prev,
-                                 std::span<double> x_out) const {
+                                 std::span<double> x_out,
+                                 std::span<double> dprr) const {
   const std::size_t nx = nodes();
-  DFR_DCHECK(j.size() >= nx && x_prev.size() >= nx && x_out.size() >= nx);
+  const std::size_t stride = simd::padded_nodes(nx);
+  DFR_DCHECK(j.size() >= nx && x_prev.size() >= stride &&
+             x_out.size() >= stride &&
+             dprr.size() >= simd::padded_dprr_size(nx));
   DFR_DCHECK(x_out.data() != x_prev.data() && x_out.data() != j.data());
   // Vectorized stage: x_out[n] = A * f~( Q_state(j[n] + x_prev[n]) ).
   kernels_->quant_preadd_nonlin(f_, params_.a, state_format_, j.data(),
@@ -118,6 +127,7 @@ void SimdQuantizedDatapath::step(std::span<const double> j,
     prev_node = state_format_.quantize(value);
     x_out[n] = prev_node;
   }
+  kernels_->dprr_add(dprr.data(), x_out.data(), x_prev.data(), nx, stride);
 }
 
 void SimdQuantizedDatapath::finalize(Vector& r, std::size_t t_len) const {
@@ -348,14 +358,12 @@ std::span<const double> BasicEngine<P>::features(const Matrix& series) {
   // writes them.
   std::fill(x_prev_.begin(), x_prev_.end(), 0.0);
   std::fill(dprr_.begin(), dprr_.end(), 0.0);
-  const simd::Kernels& kernels = datapath_.kernels();
-  const std::size_t nx = datapath_.nodes();
   for (std::size_t k = 0; k < series.rows(); ++k) {
     datapath_.mask_into(series.row(k), j_);
-    datapath_.step(j_, x_prev_, x_cur_);
-    kernels.dprr_add(dprr_.data(), x_cur_.data(), x_prev_.data(), nx, row_);
+    datapath_.step(j_, x_prev_, x_cur_, dprr_);
     std::swap(x_prev_, x_cur_);  // pointer swap: no allocation
   }
+  const std::size_t nx = datapath_.nodes();
   // Rows 0..Nx-1 of the padded accumulator hold the Nx x Nx block, row Nx
   // the node sums; drop each row's pad columns.
   for (std::size_t i = 0; i <= nx; ++i) {

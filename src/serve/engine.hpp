@@ -20,11 +20,13 @@
 // kernel table of serve/simd_kernels.hpp (whose Backend::kScalar entry is the
 // portable path, picked by DFR_SIMD=scalar or simd::force_backend):
 //   - SimdFloatDatapath runs the double-precision pipeline of the trained
-//     model: the mask, the preadd/nonlinearity and the Nx²-per-step DPRR row
-//     updates vectorize, the serialized B-chain stays a scalar pass.
+//     model: the mask and the preadd/nonlinearity vectorize, and the serial
+//     B-chain runs fused with the Nx²-per-step DPRR row updates
+//     (bchain_dprr_add), whose vector work overlaps the chain's latency.
 //   - SimdQuantizedDatapath runs the calibrated fixed-point pipeline of
 //     quantized_dfr.hpp: vectorized round-to-format on the masked input,
-//     quantized preadd + nonlinearity, and fused scale+quantize feature
+//     quantized preadd + nonlinearity, the scalar quantized B-chain, then
+//     the vector DPRR accumulate (dprr_add), and fused scale+quantize feature
 //     finalization.
 // Both are bit-identical, on every backend, to references that live
 // outside serve/, so an oracle never shares code with what it checks.
@@ -36,9 +38,10 @@
 //
 // Row layout: the engine keeps the masked input, both state rows and every
 // accumulator row at a stride of simd::padded_nodes(Nx) (the padded
-// single-series layout of simd_kernels.hpp), accumulates with the kernel
-// table's dprr_add, and gathers the Nx x Nx block and the node sums out of
-// the padded accumulator into the feature vector.
+// single-series layout of simd_kernels.hpp). Each datapath step advances the
+// state and accumulates it into the padded accumulator; the engine then
+// gathers the Nx x Nx block and the node sums out of it into the feature
+// vector.
 //
 // Ownership: the float datapaths hold a reference-counted ModelArtifactPtr
 // (see model_io.hpp), so an engine keeps its model alive for as long as the
@@ -49,8 +52,9 @@
 //
 // Training and LoadedModel::infer do not run through these engines. They
 // share StreamingForward (dfr/backprop.hpp): the same padded layout, kernel
-// table and float step (simd::float_step) as SimdFloatDatapath, so its
-// features equal the engine's bit for bit.
+// table and float step (simd::float_step: preadd_nonlin, then
+// bchain_dprr_add) as SimdFloatDatapath, so its features equal the engine's
+// bit for bit.
 //
 // Threading: one engine serves one stream; engines share the immutable model
 // and are cheap to create, so batch serving makes one engine per worker.
@@ -71,30 +75,31 @@
 namespace dfr {
 
 /// What a datapath must provide for the shared streaming pipeline: the model
-/// shape, its kernel table (the engine accumulates with its dprr_add), the
-/// masked-input transform, one reservoir time step, the feature
-/// finalization (time averaging plus any datapath-specific scaling /
-/// quantization), and the readout.
+/// shape, the masked-input transform, one reservoir time step with its DPRR
+/// accumulate (step(j, x_prev, x_out, dprr) over padded rows and a
+/// padded_dprr_size(nodes()) accumulator), the feature finalization (time
+/// averaging plus any datapath-specific scaling / quantization), and the
+/// readout.
 template <typename P>
 concept InferenceDatapath =
     requires(const P& p, std::span<const double> in, std::span<double> out,
              Vector& r, std::size_t t_len) {
       { p.nodes() } -> std::convertible_to<std::size_t>;
       { p.channels() } -> std::convertible_to<std::size_t>;
-      { p.kernels() } -> std::convertible_to<const simd::Kernels&>;
       { p.mask_into(in, out) };
-      { p.step(in, in, out) };
+      { p.step(in, in, out, out) };
       { p.finalize(r, t_len) };
       { p.readout() } -> std::convertible_to<const OutputLayer&>;
     };
 
 /// Float datapath over runtime-dispatched SIMD kernels. Executes the
-/// trajectory pipeline's operations with the vectorizable stages (input mask,
-/// masked-input preadd, nonlinearity) routed through serve/simd_kernels.hpp
-/// and the serialized B-chain as a scalar pass (simd::float_step). Rows use
-/// the padded layout (see the engine header comment): mask_into writes
-/// simd::padded_nodes(nodes()) entries, step reads and writes only the
-/// first nodes() entries of its rows and leaves the pad lanes alone.
+/// trajectory pipeline's operations through serve/simd_kernels.hpp: the
+/// input mask, the masked-input preadd and nonlinearity, and the serial
+/// B-chain fused with the DPRR accumulate (simd::float_step). Rows use the
+/// padded layout (see the engine header comment): mask_into writes
+/// simd::padded_nodes(nodes()) entries; step writes only the first nodes()
+/// entries of x_out, leaves its pad lanes alone, and accumulates
+/// x_out x_prev^T into the padded accumulator.
 /// Bit-identical to the scalar trajectory pipeline (dfr/reservoir.hpp +
 /// dfr/representation.hpp) on every backend. Shares ownership of the model.
 class SimdFloatDatapath {
@@ -108,10 +113,9 @@ class SimdFloatDatapath {
   [[nodiscard]] std::size_t nodes() const noexcept { return artifact_->mask.nodes(); }
   [[nodiscard]] std::size_t channels() const noexcept { return artifact_->mask.channels(); }
   [[nodiscard]] simd::Backend backend() const noexcept { return kernels_->backend; }
-  [[nodiscard]] const simd::Kernels& kernels() const noexcept { return *kernels_; }
   void mask_into(std::span<const double> input, std::span<double> j) const;
   void step(std::span<const double> j, std::span<const double> x_prev,
-            std::span<double> x_out) const;
+            std::span<double> x_out, std::span<double> dprr) const;
   void finalize(Vector& r, std::size_t t_len) const;
   [[nodiscard]] const OutputLayer& readout() const noexcept {
     return artifact_->readout;
@@ -131,7 +135,8 @@ class SimdFloatDatapath {
 /// stages (masked-input round-to-format, quantized preadd + nonlinearity,
 /// DPRR row updates, feature scale+quantize) routed through
 /// serve/simd_kernels.hpp; the quantized B-chain (which serializes through
-/// the per-node round-to-format) stays a scalar pass. Rows use the same
+/// the per-node round-to-format) stays a scalar pass, and step runs it
+/// before dprr_add. Rows use the same
 /// padded layout as SimdFloatDatapath. Every stage is BIT-IDENTICAL to the
 /// scalar fixed-point reference loop (tests/test_support.hpp) on every
 /// backend (see the contract in simd_kernels.hpp; asserted EXPECT_EQ-strict
@@ -155,10 +160,9 @@ class SimdQuantizedDatapath {
   [[nodiscard]] std::size_t nodes() const noexcept { return mask_->nodes(); }
   [[nodiscard]] std::size_t channels() const noexcept { return mask_->channels(); }
   [[nodiscard]] simd::Backend backend() const noexcept { return kernels_->backend; }
-  [[nodiscard]] const simd::Kernels& kernels() const noexcept { return *kernels_; }
   void mask_into(std::span<const double> input, std::span<double> j) const;
   void step(std::span<const double> j, std::span<const double> x_prev,
-            std::span<double> x_out) const;
+            std::span<double> x_out, std::span<double> dprr) const;
   void finalize(Vector& r, std::size_t t_len) const;
   [[nodiscard]] const OutputLayer& readout() const noexcept { return *readout_; }
 

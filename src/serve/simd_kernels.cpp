@@ -36,6 +36,24 @@ void dprr_add_scalar(double* r, const double* x_k, const double* x_km1,
   }
 }
 
+// Fused like the vector kernels. The restrict qualifiers state the kernel's
+// no-alias contract; without them the compiler must assume `r` aliases `x`,
+// cannot vectorize the row update, and the fused loop ran 1.4-2.3x slower
+// than the chain followed by dprr_add_scalar.
+void bchain_dprr_add_scalar(double b, const double* __restrict x_prev,
+                            double* __restrict x, double* __restrict r,
+                            std::size_t nx, std::size_t stride) {
+  double prev_node = x_prev[nx - 1];
+  for (std::size_t n = 0; n < nx; ++n) {
+    prev_node = x[n] + b * prev_node;
+    x[n] = prev_node;
+    double* row = r + n * stride;
+    for (std::size_t j = 0; j < nx; ++j) row[j] += prev_node * x_prev[j];
+  }
+  double* sums = r + nx * stride;
+  for (std::size_t i = 0; i < nx; ++i) sums[i] += x[i];
+}
+
 void scale_quantize_scalar(const FixedPointFormat& fmt, double scale,
                            double* values, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) values[i] = fmt.quantize(values[i] * scale);
@@ -113,6 +131,7 @@ void batched_mask_scalar(const double* weights, std::size_t nx,
 constexpr Kernels kScalarKernels{Backend::kScalar,
                                  &preadd_nonlin_scalar,
                                  &dprr_add_scalar,
+                                 &bchain_dprr_add_scalar,
                                  &scale_quantize_scalar,
                                  &quant_preadd_nonlin_scalar,
                                  &batched_bchain_scalar,

@@ -11,7 +11,9 @@
 //
 // The mask, the preadd/nonlinearity and the DPRR update are data-parallel
 // across the Nx virtual nodes and vectorize. The B-chain serializes on its
-// own output and stays a scalar pass (float_step below).
+// own output; the float step fuses it with the DPRR update
+// (bchain_dprr_add), so row n accumulates as soon as node n exists and the
+// accumulate's vector work runs under the chain's latency (float_step below).
 //
 // Padded single-series layout. The single-series SIMD datapaths keep every
 // per-node row — the masked input j, the states x(k) and x(k-1), and each
@@ -46,7 +48,7 @@
 //     0.0, add w*u one channel at a time in ascending order, separate
 //     multiply and add.
 //   * The preadd/nonlinearity stage performs the same IEEE-754 operations
-//     lane-wise, and the B-chain (float_step below) one multiply and one add
+//     lane-wise, and the B-chain (bchain_dprr_add) one multiply and one add
 //     per node in node order.
 //   * The DPRR accumulate rounds twice per accumulate — a separate multiply
 //     and add, exactly like DprrAccumulator::add.
@@ -69,8 +71,8 @@
 //
 // Training (StreamingForward, dfr/backprop.hpp) and LoadedModel::infer run
 // the float stages over the padded layout through the same table —
-// batched_mask, float_step, dprr_add — so trained models and the serving
-// engines see the same features.
+// batched_mask, then float_step (preadd_nonlin, bchain_dprr_add) — so
+// trained models and the serving engines see the same features.
 
 #include <cstddef>
 #include <new>
@@ -156,6 +158,23 @@ using AlignedVector = std::vector<double, RowAllocator<double>>;
 /// inputs; those columns never reach features.
 using DprrAddFn = void (*)(double* r, const double* x_k, const double* x_km1,
                            std::size_t nx, std::size_t stride);
+
+/// The float B-chain fused with the DPRR accumulate of one time step, over
+/// the padded layout (stride = padded_nodes(nx)). On entry x[n] holds the
+/// preadd/nonlinearity output v_n. The kernel runs the chain
+/// x[n] = v_n + b * x[n-1] in node order, with x[-1] = x_prev[nx-1], and as
+/// soon as x[n] exists accumulates DPRR row n:
+/// r[n*stride + c] += x[n] * x_prev[c] for c < stride. The node-sum row
+/// r[nx*stride + c] += x[c] is added last. Every element sees one multiply
+/// and one add, exactly the operations of ModularReservoir::step and
+/// DprrAccumulator::add, so the result is bit-identical to the chain
+/// followed by dprr_add. Interleaving the two loops lets the accumulate's
+/// vector work run under the chain's serial latency. Pad lanes
+/// of `x` are never written; pad columns of `r` see only pad lanes of
+/// `x_prev`. `x` must not alias `x_prev` or `r`.
+using BChainDprrAddFn = void (*)(double b, const double* x_prev, double* x,
+                                 double* r, std::size_t nx,
+                                 std::size_t stride);
 
 /// In-place vector round-to-format: v[i] = fmt.quantize(v[i] * scale) for i
 /// in [0, n). Bit-identical to calling FixedPointFormat::quantize per
@@ -247,6 +266,7 @@ struct Kernels {
   Backend backend;
   PreaddNonlinFn preadd_nonlin;
   DprrAddFn dprr_add;
+  BChainDprrAddFn bchain_dprr_add;
   ScaleQuantizeFn scale_quantize;
   QuantPreaddNonlinFn quant_preadd_nonlin;
   BatchedBChainFn batched_bchain;
@@ -283,30 +303,22 @@ void force_backend(Backend backend);
 /// Kernel set for active_backend().
 [[nodiscard]] const Kernels& active_kernels();
 
-/// The float B-chain, float_step's serial stage: on entry x[n] holds the
-/// preadd/nonlinearity output v_n, on exit x[n] = v_n + b * x[n-1] for
-/// n < nx, with x[-1] = `head`. Separate so the stage can be timed alone.
-inline void float_bchain(double b, double head, double* x, std::size_t nx) {
-  double prev_node = head;
-  for (std::size_t n = 0; n < nx; ++n) {
-    prev_node = x[n] + b * prev_node;
-    x[n] = prev_node;
-  }
-}
-
-/// One float reservoir step over padded rows, shared by the serving engine
+/// One float reservoir step plus its DPRR accumulate, over padded rows
+/// (stride = padded_nodes(nx)), shared by the serving engine
 /// (SimdFloatDatapath::step) and the training forward (StreamingForward):
 /// x_out[n] = A * f~(j[n] + x_prev[n]) + B * x_out[n-1] for n < nx, with
-/// x_out[-1] = x_prev[nx-1]. The data-parallel preadd/nonlinearity runs on
-/// `kernels`; the B-chain serializes on its own output and runs here, one
-/// multiply and one add per node in node order — ModularReservoir::step's
-/// operations, so the step is bit-identical to it. Pad lanes of `x_out` are
-/// never written. `x_out` must not alias `j` or `x_prev`.
+/// x_out[-1] = x_prev[nx-1], then r += x_out x_prev^T plus the node sums.
+/// The data-parallel preadd/nonlinearity and the fused B-chain + accumulate
+/// (bchain_dprr_add) run on `kernels`; each performs ModularReservoir::step's
+/// and DprrAccumulator::add's operations in their order, so the step is
+/// bit-identical to them. Pad lanes of `x_out` are never written. `x_out`
+/// must not alias `j`, `x_prev` or `r`.
 inline void float_step(const Kernels& kernels, const Nonlinearity& f,
                        const DfrParams& params, const double* j,
-                       const double* x_prev, double* x_out, std::size_t nx) {
+                       const double* x_prev, double* x_out, double* r,
+                       std::size_t nx, std::size_t stride) {
   kernels.preadd_nonlin(f, params.a, j, x_prev, x_out, nx);
-  float_bchain(params.b, x_prev[nx - 1], x_out, nx);
+  kernels.bchain_dprr_add(params.b, x_prev, x_out, r, nx, stride);
 }
 
 namespace detail {

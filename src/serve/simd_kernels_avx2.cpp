@@ -167,6 +167,33 @@ void dprr_add_avx2(double* r, const double* x_k, const double* x_km1,
   }
 }
 
+// The B-chain fused with the accumulate: row n is updated as soon as the
+// chain has produced x[n], so its vector multiply-adds (independent of the
+// chain) execute while the next node's serial multiply and add are in flight.
+// Each element sees the same multiply and add as the chain followed by
+// dprr_add_avx2.
+void bchain_dprr_add_avx2(double b, const double* x_prev, double* x,
+                          double* r, std::size_t nx, std::size_t stride) {
+  double prev_node = x_prev[nx - 1];
+  for (std::size_t n = 0; n < nx; ++n) {
+    prev_node = x[n] + b * prev_node;
+    x[n] = prev_node;
+    const __m256d vxn = _mm256_set1_pd(prev_node);
+    double* row = r + n * stride;
+    for (std::size_t jj = 0; jj < stride; jj += kWidth) {
+      const __m256d acc = _mm256_add_pd(
+          _mm256_loadu_pd(row + jj),
+          _mm256_mul_pd(vxn, _mm256_loadu_pd(x_prev + jj)));
+      _mm256_storeu_pd(row + jj, acc);
+    }
+  }
+  double* sums = r + nx * stride;
+  for (std::size_t jj = 0; jj < stride; jj += kWidth) {
+    _mm256_storeu_pd(sums + jj, _mm256_add_pd(_mm256_loadu_pd(sums + jj),
+                                              _mm256_loadu_pd(x + jj)));
+  }
+}
+
 // ---- batched (SoA) kernels: vectors span lanes, i.e. independent series ----
 // The B-chain dependence runs across node rows, never across lanes, so the
 // chain that serializes the single-series path becomes full-width
@@ -284,6 +311,7 @@ void batched_mask_avx2(const double* weights, std::size_t nx,
 constexpr Kernels kAvx2Kernels{Backend::kAvx2,
                                &preadd_nonlin_avx2,
                                &dprr_add_avx2,
+                               &bchain_dprr_add_avx2,
                                &scale_quantize_avx2,
                                &quant_preadd_nonlin_avx2,
                                &batched_bchain_avx2,

@@ -154,6 +154,31 @@ void dprr_add_neon(double* r, const double* x_k, const double* x_km1,
   }
 }
 
+// The B-chain fused with the accumulate: row n is updated as soon as the
+// chain has produced x[n], so its vector multiply-adds (independent of the
+// chain) execute while the next node's serial multiply and add are in flight.
+// Each element sees the same multiply and add as the chain followed by
+// dprr_add_neon.
+void bchain_dprr_add_neon(double b, const double* x_prev, double* x,
+                          double* r, std::size_t nx, std::size_t stride) {
+  double prev_node = x_prev[nx - 1];
+  for (std::size_t n = 0; n < nx; ++n) {
+    prev_node = x[n] + b * prev_node;
+    x[n] = prev_node;
+    const float64x2_t vxn = vdupq_n_f64(prev_node);
+    double* row = r + n * stride;
+    for (std::size_t jj = 0; jj < stride; jj += kWidth) {
+      const float64x2_t acc = vaddq_f64(
+          vld1q_f64(row + jj), vmulq_f64(vxn, vld1q_f64(x_prev + jj)));
+      vst1q_f64(row + jj, acc);
+    }
+  }
+  double* sums = r + nx * stride;
+  for (std::size_t jj = 0; jj < stride; jj += kWidth) {
+    vst1q_f64(sums + jj, vaddq_f64(vld1q_f64(sums + jj), vld1q_f64(x + jj)));
+  }
+}
+
 // ---- batched (SoA) kernels: vectors span lanes, i.e. independent series ----
 // The B-chain dependence runs across node rows, never across lanes, so the
 // chain that serializes the single-series path becomes full-width
@@ -265,6 +290,7 @@ void batched_mask_neon(const double* weights, std::size_t nx,
 constexpr Kernels kNeonKernels{Backend::kNeon,
                                &preadd_nonlin_neon,
                                &dprr_add_neon,
+                               &bchain_dprr_add_neon,
                                &scale_quantize_neon,
                                &quant_preadd_nonlin_neon,
                                &batched_bchain_neon,

@@ -2,6 +2,7 @@
 // generator, preprocessing, serialization.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cmath>
 #include <filesystem>
@@ -64,6 +65,34 @@ TEST(Dataset, StratifiedSplitKeepsAllSamplesAndBothSidesPerClass) {
   for (auto count : first.class_histogram()) EXPECT_GE(count, 1u);
   for (auto count : second.class_histogram()) EXPECT_GE(count, 1u);
   EXPECT_EQ(first.size(), 24u);
+}
+
+// stratified_split is subset() of stratified_split_indices' two parts, and
+// both draw the same numbers from the rng.
+TEST(Dataset, StratifiedSplitIndicesMatchSplit) {
+  Dataset d("t", 3, 2, 1);
+  for (int i = 0; i < 31; ++i) {
+    d.add({Matrix(2, 1, static_cast<double>(i)), (i * 7) % 3});
+  }
+  for (double fraction : {0.2, 0.5, 0.8}) {
+    Rng split_rng(11), index_rng(11);
+    const auto [first, second] = d.stratified_split(fraction, split_rng);
+    const auto [first_idx, second_idx] =
+        d.stratified_split_indices(fraction, index_rng);
+    EXPECT_EQ(split_rng.next_u64(), index_rng.next_u64()) << fraction;
+    EXPECT_TRUE(std::is_sorted(first_idx.begin(), first_idx.end()));
+    EXPECT_TRUE(std::is_sorted(second_idx.begin(), second_idx.end()));
+    const auto expect_part = [&](const Dataset& part,
+                                 const std::vector<std::size_t>& idx) {
+      ASSERT_EQ(part.size(), idx.size()) << fraction;
+      for (std::size_t i = 0; i < idx.size(); ++i) {
+        EXPECT_EQ(part[i].series, d[idx[i]].series) << fraction << " " << i;
+        EXPECT_EQ(part[i].label, d[idx[i]].label) << fraction << " " << i;
+      }
+    };
+    expect_part(first, first_idx);
+    expect_part(second, second_idx);
+  }
 }
 
 TEST(Specs, TwelveDatasetsWithPaperShapes) {

@@ -1,8 +1,9 @@
 // Tests for the SIMD reservoir-step datapath (serve/simd_kernels.hpp,
 // SimdFloatDatapath): runtime dispatch and forcing (programmatic + DFR_SIMD
 // env), the exact-match contract on the mask/preadd stage, the padded DPRR
-// kernel bit for bit around the row alignment (with poisoned pad lanes that
-// must never reach features or logits), bit-identity of finalized features
+// kernels (the accumulate alone, and fused with the B-chain) bit for bit
+// around the row alignment (with poisoned pad lanes that must never reach
+// features or logits), bit-identity of finalized features
 // and logits with the scalar trajectory pipeline of test_support.hpp across
 // every nonlinearity and odd Nx sizes (Nx < vector width, Nx not a multiple
 // of it), classify_batch determinism under forced dispatch,
@@ -286,6 +287,18 @@ TEST(SimdKernels, MaskStageBitExactAcrossBackends) {
 
 // ---- padded DPRR kernels ---------------------------------------------------
 
+/// The Nx x Nx block and node sums of a padded accumulator, as BasicEngine
+/// gathers them.
+Vector gather_padded(std::span<const double> acc, std::size_t nx) {
+  const std::size_t stride = simd::padded_nodes(nx);
+  Vector r(dprr_dim(nx));
+  for (std::size_t i = 0; i <= nx; ++i) {
+    std::copy_n(acc.begin() + static_cast<std::ptrdiff_t>(i * stride), nx,
+                r.begin() + static_cast<std::ptrdiff_t>(i * nx));
+  }
+  return r;
+}
+
 /// Runs one padded DPRR kernel over the steps of `xs` (each nx wide) with
 /// every pad lane — of the input rows and of the accumulator — holding
 /// `pad`, then gathers the unpadded Nx*(Nx+1) feature vector the way
@@ -306,12 +319,7 @@ Vector padded_dprr(simd::DprrAddFn kernel, const std::vector<Vector>& xs,
   for (std::size_t k = 1; k < rows.size(); ++k) {
     kernel(acc.data(), rows[k].data(), rows[k - 1].data(), nx, stride);
   }
-  Vector r(dprr_dim(nx));
-  for (std::size_t i = 0; i <= nx; ++i) {
-    std::copy_n(acc.begin() + static_cast<std::ptrdiff_t>(i * stride), nx,
-                r.begin() + static_cast<std::ptrdiff_t>(i * nx));
-  }
-  return r;
+  return gather_padded(acc, nx);
 }
 
 std::vector<Vector> random_states(std::size_t steps, std::size_t nx, Rng& rng) {
@@ -383,7 +391,83 @@ TEST(SimdKernels, PadLanesNeverReachFeaturesOrLogits) {
   }
 }
 
-// One reservoir step through SimdFloatDatapath vs ModularReservoir::step.
+/// Pad lanes of a padded state row and pad columns of a padded accumulator
+/// still hold zero.
+void expect_pads_zero(const simd::AlignedVector& x,
+                      const simd::AlignedVector& acc, std::size_t nx,
+                      const std::string& where) {
+  const std::size_t stride = simd::padded_nodes(nx);
+  for (std::size_t c = nx; c < stride; ++c) {
+    ASSERT_EQ(x[c], 0.0) << where << " pad lane " << c << " of x";
+  }
+  for (std::size_t i = 0; i <= nx; ++i) {
+    for (std::size_t c = nx; c < stride; ++c) {
+      ASSERT_EQ(acc[i * stride + c], 0.0)
+          << where << " pad column " << c << " of accumulator row " << i;
+    }
+  }
+}
+
+// bchain_dprr_add over many steps against ModularReservoir::step +
+// DprrAccumulator::add: the states and the accumulator bit for bit, on every
+// backend, at node counts below, at and past the vector widths, with the rows
+// padded and 64-byte aligned as the engine keeps them.
+TEST(SimdKernels, BChainDprrAddBitIdenticalAtAwkwardSizes) {
+  const DfrParams params{0.3, 0.45};
+  const Nonlinearity f(NonlinearityKind::kIdentity);
+  Rng rng(43);
+  for (std::size_t nx : kOddSizes) {
+    const std::size_t stride = simd::padded_nodes(nx);
+    const ModularReservoir reservoir(nx, f);
+    std::vector<Vector> js(20, Vector(nx));
+    for (Vector& j : js) {
+      for (double& v : j) v = rng.uniform(-1.0, 1.0);
+    }
+    for (simd::Backend b : available_backends()) {
+      const simd::Kernels& kernels = simd::kernels_for(b);
+      const std::string where =
+          std::string(simd::backend_name(b)) + " nx=" + std::to_string(nx);
+      Vector ref_prev(nx, 0.0), ref(nx);
+      DprrAccumulator exact(nx);
+      simd::AlignedVector x_prev(stride, 0.0), x(stride, 0.0);
+      simd::AlignedVector acc(simd::padded_dprr_size(nx), 0.0);
+      for (const Vector& j : js) {
+        reservoir.step(params, j, ref_prev, ref);
+        exact.add(ref, ref_prev);
+        // The kernel's input: the preadd/nonlinearity output v_n.
+        for (std::size_t n = 0; n < nx; ++n) {
+          x[n] = params.a * f.value(j[n] + x_prev[n]);
+        }
+        kernels.bchain_dprr_add(params.b, x_prev.data(), x.data(), acc.data(),
+                                nx, stride);
+        for (std::size_t n = 0; n < nx; ++n) {
+#if defined(__x86_64__) || defined(_M_X64)
+          ASSERT_EQ(x[n], ref[n]) << where << " state n=" << n;
+#else
+          // The scalar reference may be FMA-contracted off x86-64.
+          ASSERT_LE(ulp_distance(x[n], ref[n]), 8u) << where << " n=" << n;
+#endif
+        }
+        expect_pads_zero(x, acc, nx, where);
+        std::swap(x_prev, x);
+        ref_prev = ref;
+      }
+      const Vector got = gather_padded(acc, nx);
+      for (std::size_t i = 0; i < got.size(); ++i) {
+#if defined(__x86_64__) || defined(_M_X64)
+        ASSERT_EQ(ordered_bits(got[i]), ordered_bits(exact.features()[i]))
+            << where << " feature " << i;
+#else
+        ASSERT_LE(ulp_distance(got[i], exact.features()[i]), 64u)
+            << where << " feature " << i;
+#endif
+      }
+    }
+  }
+}
+
+// One reservoir step through SimdFloatDatapath vs ModularReservoir::step,
+// and its accumulate vs DprrAccumulator::add, over padded rows.
 // Bit-exact on x86-64 (SIMD TUs build with -ffp-contract=off and the
 // baseline has no FMA to contract); elsewhere the scalar reference itself
 // may be FMA-contracted, so allow a few ulps.
@@ -393,29 +477,45 @@ TEST(SimdKernels, StepStageMatchesScalarReservoir) {
   for (NonlinearityKind kind : kAllKinds) {
     const Nonlinearity f(kind);
     for (std::size_t nx : kOddSizes) {
+      const std::size_t stride = simd::padded_nodes(nx);
       const ModularReservoir reservoir(nx, f);
       const Mask mask(nx, 2, MaskKind::kBinary, rng);
-      Vector j(nx), x_prev(nx), ref(nx), out(nx);
+      Vector j(nx), x_ref_prev(nx), ref(nx);
+      simd::AlignedVector j_pad(stride, 0.0), x_prev(stride, 0.0);
       for (std::size_t n = 0; n < nx; ++n) {
-        j[n] = rng.uniform(-1.0, 1.0);
-        x_prev[n] = rng.uniform(-1.0, 1.0);
+        j[n] = j_pad[n] = rng.uniform(-1.0, 1.0);
+        x_ref_prev[n] = x_prev[n] = rng.uniform(-1.0, 1.0);
       }
-      reservoir.step(params, j, x_prev, ref);
+      reservoir.step(params, j, x_ref_prev, ref);
+      DprrAccumulator exact(nx);
+      exact.add(ref, x_ref_prev);
       const ModelArtifactPtr artifact = artifact_for(mask, params, f);
       for (simd::Backend b : available_backends()) {
         const SimdFloatDatapath datapath(artifact, b);
-        datapath.step(j, x_prev, out);
+        simd::AlignedVector out(stride, 0.0);
+        simd::AlignedVector acc(simd::padded_dprr_size(nx), 0.0);
+        datapath.step(j_pad, x_prev, out, acc);
+        const std::string where = std::string(simd::backend_name(b)) + " " +
+                                  nonlinearity_name(kind) +
+                                  " nx=" + std::to_string(nx);
         for (std::size_t n = 0; n < nx; ++n) {
 #if defined(__x86_64__) || defined(_M_X64)
-          ASSERT_EQ(out[n], ref[n])
-              << simd::backend_name(b) << " " << nonlinearity_name(kind)
-              << " nx=" << nx << " n=" << n;
+          ASSERT_EQ(out[n], ref[n]) << where << " n=" << n;
 #else
-          ASSERT_LE(ulp_distance(out[n], ref[n]), 8u)
-              << simd::backend_name(b) << " " << nonlinearity_name(kind)
-              << " nx=" << nx << " n=" << n;
+          ASSERT_LE(ulp_distance(out[n], ref[n]), 8u) << where << " n=" << n;
 #endif
         }
+        const Vector got = gather_padded(acc, nx);
+        for (std::size_t i = 0; i < got.size(); ++i) {
+#if defined(__x86_64__) || defined(_M_X64)
+          ASSERT_EQ(ordered_bits(got[i]), ordered_bits(exact.features()[i]))
+              << where << " feature " << i;
+#else
+          ASSERT_LE(ulp_distance(got[i], exact.features()[i]), 64u)
+              << where << " feature " << i;
+#endif
+        }
+        expect_pads_zero(out, acc, nx, where);
       }
     }
   }

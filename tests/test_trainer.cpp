@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -185,6 +186,161 @@ GridSearchConfig small_grid_config() {
   GridSearchConfig config;
   config.nodes = 12;
   return config;
+}
+
+// ---- one feature pass per split ---------------------------------------------
+//
+// The trainer's phase 2 and every grid candidate compute the training
+// features once, sweep beta on the fit/validation rows of that one matrix and
+// refit on all of it. These tests write out the recipe it replaces — the
+// split datasets' features recomputed, sweep_ridge on them, then the whole
+// training set's features and fit_ridge — and require EQ results.
+
+struct SplitRecipe {
+  double beta = 0.0;
+  double validation_loss = 0.0;
+  std::optional<OutputLayer> layer;
+  bool usable = true;
+};
+
+bool usable_features(const FeatureMatrix& fm) {
+  return fm.features.all_finite() && fm.features.max_abs() < 1e120;
+}
+
+SplitRecipe per_split_recipe(const ModularReservoir& reservoir,
+                             const DfrParams& params, const Mask& mask,
+                             const Dataset& train, Rng& split_rng,
+                             double validation_fraction,
+                             const std::vector<double>& betas) {
+  auto [fit_split, val_split] =
+      train.stratified_split(1.0 - validation_fraction, split_rng);
+  if (fit_split.empty() || val_split.empty()) {
+    fit_split = train;
+    val_split = train;
+  }
+  SplitRecipe out;
+  const FeatureMatrix fit = compute_features(reservoir, params, mask, fit_split,
+                                             RepresentationKind::kDprr);
+  const FeatureMatrix val = compute_features(reservoir, params, mask, val_split,
+                                             RepresentationKind::kDprr);
+  if (!usable_features(fit) || !usable_features(val)) {
+    out.usable = false;
+    return out;
+  }
+  const RidgeSweep sweep =
+      sweep_ridge(fit, val, train.num_classes(), betas);
+  out.beta = sweep.best().beta;
+  out.validation_loss = sweep.best().selection_loss;
+  const FeatureMatrix all = compute_features(reservoir, params, mask, train,
+                                             RepresentationKind::kDprr);
+  out.layer.emplace(fit_ridge(all, train.num_classes(), out.beta));
+  return out;
+}
+
+// The helper itself, with its refit layer compared in full (a candidate
+// reports only the layer's test accuracy), at one and several threads.
+TEST(RidgeReadout, OneFeaturePassMatchesPerSplitRecompute) {
+  const DatasetPair pair = easy_task(33);
+  Rng rng(5);
+  const ModularReservoir reservoir(12, Nonlinearity{});
+  const Mask mask(12, pair.train.channels(), MaskKind::kBinary, rng);
+  const DfrParams params{0.2, 0.3};
+  const Rng split_rng = rng.fork(0x5B1D);
+  Rng recipe_rng = split_rng;
+  const SplitRecipe want = per_split_recipe(reservoir, params, mask, pair.train,
+                                            recipe_rng, 0.2, paper_beta_grid());
+  ASSERT_TRUE(want.usable);
+  for (unsigned threads : {1u, 3u}) {
+    Rng index_rng = split_rng;
+    const auto [fit_rows, val_rows] =
+        pair.train.stratified_split_indices(0.8, index_rng);
+    const std::optional<ReadoutFit> got =
+        fit_readout_on_split(reservoir, params, mask, pair.train, fit_rows,
+                             val_rows, paper_beta_grid(), threads);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(got->beta, want.beta) << threads;
+    EXPECT_EQ(got->validation_loss, want.validation_loss) << threads;
+    EXPECT_EQ(got->layer.weights(), want.layer->weights()) << threads;
+    EXPECT_EQ(got->layer.bias(), want.layer->bias()) << threads;
+  }
+}
+
+TEST(GridSearch, CandidatesMatchPerSplitRecompute) {
+  // The second task has one training sample per class, so the split leaves
+  // the validation side empty and both roles fall back to the whole set.
+  for (std::size_t per_class : {12u, 1u}) {
+    DatasetPair pair = generate_toy_task(3, 2, 40, per_class, 8, 0.5, 29);
+    standardize_pair(pair);
+    const GridSearchConfig config = small_grid_config();
+    const std::size_t divs = 3;
+    const GridLevelResult level =
+        run_grid_level(config, pair.train, pair.test, divs);
+
+    Rng rng(config.seed);
+    const Nonlinearity f(config.nonlinearity, config.mg_exponent);
+    const ModularReservoir reservoir(config.nodes, f);
+    const Mask mask(config.nodes, pair.train.channels(), config.mask_kind, rng);
+    const Rng split_rng = rng.fork(0x5B1D);
+    const std::vector<double> log_a =
+        grid_points(config.log10_a_min, config.log10_a_max, divs);
+    const std::vector<double> log_b =
+        grid_points(config.log10_b_min, config.log10_b_max, divs);
+    ASSERT_EQ(level.candidates.size(), divs * divs);
+    int valid = 0;
+    for (std::size_t idx = 0; idx < level.candidates.size(); ++idx) {
+      const GridCandidate& got = level.candidates[idx];
+      const DfrParams params{std::pow(10.0, log_a[idx / divs]),
+                             std::pow(10.0, log_b[idx % divs])};
+      const std::string where = "per_class=" + std::to_string(per_class) +
+                                " candidate " + std::to_string(idx);
+      ASSERT_EQ(got.a, params.a) << where;
+      ASSERT_EQ(got.b, params.b) << where;
+      Rng candidate_rng = split_rng;
+      const SplitRecipe want =
+          per_split_recipe(reservoir, params, mask, pair.train, candidate_rng,
+                           config.validation_fraction, config.betas);
+      if (!want.usable) {
+        EXPECT_FALSE(got.valid) << where;
+        continue;
+      }
+      const FeatureMatrix test = compute_features(
+          reservoir, params, mask, pair.test, RepresentationKind::kDprr);
+      ASSERT_TRUE(usable_features(test)) << where;
+      ASSERT_TRUE(got.valid) << where;
+      ++valid;
+      EXPECT_EQ(got.beta, want.beta) << where;
+      EXPECT_EQ(got.validation_loss, want.validation_loss) << where;
+      EXPECT_EQ(got.test_accuracy, evaluate_accuracy(*want.layer, test))
+          << where;
+    }
+    EXPECT_GT(valid, 0);
+  }
+}
+
+TEST(Trainer, RefitMatchesPerSplitRecompute) {
+  const DatasetPair pair = easy_task(31);
+  TrainerConfig config = small_config();
+  config.epochs = 3;
+  const TrainResult result = Trainer(config).fit(pair.train);
+
+  // The trainer's rng draws: the mask, one shuffle per epoch, then the fork
+  // that seeds the split.
+  Rng rng(config.seed);
+  const Mask mask(config.nodes, pair.train.channels(), config.mask_kind, rng);
+  ASSERT_EQ(mask.weights(), result.mask.weights());
+  std::vector<std::size_t> order(pair.train.size());
+  for (int epoch = 0; epoch < config.epochs; ++epoch) rng.shuffle(order);
+  Rng split_rng = rng.fork(0x5B1D);
+
+  const ModularReservoir reservoir(config.nodes, result.nonlinearity);
+  const SplitRecipe want =
+      per_split_recipe(reservoir, result.params, mask, pair.train, split_rng,
+                       config.validation_fraction, config.betas);
+  ASSERT_TRUE(want.usable);
+  EXPECT_EQ(result.chosen_beta, want.beta);
+  EXPECT_EQ(result.validation_loss, want.validation_loss);
+  EXPECT_EQ(result.readout.weights(), want.layer->weights());
+  EXPECT_EQ(result.readout.bias(), want.layer->bias());
 }
 
 // ---- bit-identity across SIMD backends -------------------------------------
